@@ -7,9 +7,10 @@ package makes cross-implementation agreement and physical plausibility
 machine-checked:
 
 :mod:`repro.check.invariants`
-    Opt-in runtime checkers attachable to a :class:`~repro.sim.engine.World`
-    (energy accounting, temperature bounds, monotone cooldown, throttle
-    consistency, trace time ordering).  Zero-cost when not attached.
+    Opt-in runtime checkers for a :class:`~repro.sim.engine.World` or a
+    batched cohort, each written once (energy accounting, temperature
+    bounds, monotone cooldown, throttle consistency, trace time
+    ordering).  Zero-cost when not attached.
 :mod:`repro.check.differential`
     An A/B harness running the same scenario under paired configurations
     (euler↔expm, serial↔parallel, fast-forward on↔off) and comparing

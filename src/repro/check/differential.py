@@ -595,7 +595,7 @@ def _batch_scenario_pairing(
 def batch_invariants_pairing(base: CampaignConfig) -> Pairing:
     """Serial vs batched with the runtime invariant suite armed on both
     sides: the batched engine must replay the serial results within
-    :data:`BATCH_SPEC` *while* its vectorized checkers observe every
+    :data:`BATCH_SPEC` *while* its cohort observer checks every
     step (and neither side may raise)."""
     return _batch_scenario_pairing(
         base, "batch-invariants", "invariants", {"check_invariants": True}

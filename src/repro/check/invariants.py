@@ -1,9 +1,15 @@
-"""Runtime physical-invariant checkers for the simulation engine.
+"""Runtime physical-invariant checkers, one implementation for both engines.
 
-Each :class:`Invariant` watches every world step through the engine's
-observer hook (:meth:`repro.sim.engine.World.attach_observer`) and raises
-:class:`~repro.errors.InvariantViolation` — with sim-time and protocol
-phase context — the moment the physics stops being plausible:
+Each check is a class holding its thresholds, one predicate and one
+message builder.  The predicates use plain operators, so the same code
+judges Python floats from a serial :class:`~repro.sim.engine.World` and
+per-unit numpy arrays from a :class:`~repro.sim.batch.BatchedWorld`
+cohort.  Two observers drive them — :class:`InvariantSuite` through the
+serial engine's per-step hook (:meth:`World.attach_observer`),
+:class:`BatchedInvariantSuite` through the batched engine's tick, macro
+window and trace hooks — and both raise the same
+:class:`~repro.errors.InvariantViolation`, with sim-time, protocol phase
+and device context, the moment the physics stops being plausible:
 
 * **EnergyConservation** — the supply meter's energy must equal the
   integral of the stepped supply power (the Monsoon accounting identity).
@@ -26,10 +32,11 @@ once per call, not per step).  Enable them per run with
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.device.catalog import ThrottleSpec
 from repro.device.phone import StepReport
 from repro.errors import InvariantViolation
 from repro.sim.engine import StepObserver, World
@@ -51,21 +58,28 @@ COOLDOWN_MARGIN_C = 1.0
 THROTTLE_MARGIN_C = 5.0
 
 
+def violation(
+    name: str, message: str, now_s: float, phase: Optional[str], serial: str
+) -> InvariantViolation:
+    """The ``[name] message — at t=…, phase …, device …`` diagnostic."""
+    return InvariantViolation(
+        f"[{name}] {message} — at t={now_s:.2f} s, "
+        f"phase {phase or '(no phase)'}, device {serial}"
+    )
+
+
 class Invariant(StepObserver):
-    """One named runtime check; subclasses override the observer hooks."""
+    """One named runtime check.
+
+    Subclasses hold the thresholds, predicate and message builder both
+    observers call, plus the scalar state their serial hooks keep.
+    """
 
     name = "invariant"
 
-    def on_finish(self, world: World) -> None:
-        """Called once after the run (end-of-run identities check here)."""
-
     def violate(self, world: World, message: str) -> None:
-        """Raise a violation annotated with sim-time and phase context."""
-        phase = world.phase or "(no phase)"
-        raise InvariantViolation(
-            f"[{self.name}] {message} — at t={world.now:.2f} s, "
-            f"phase {phase}, device {world.device.serial}"
-        )
+        """Raise a violation annotated with the world's context."""
+        raise violation(self.name, message, world.now, world.phase, world.device.serial)
 
 
 class EnergyConservation(Invariant):
@@ -85,6 +99,24 @@ class EnergyConservation(Invariant):
         self._integral_j = 0.0
         self._baseline_j = 0.0
 
+    def drifted(self, metered_j, integral_j):
+        """Drift beyond ``abs_tol + rel_tol × max(metered, integral)``.
+
+        Bounding by each side in turn is the same test as bounding by the
+        larger (``rel_tol`` is non-negative), and needs no ``max``.
+        """
+        drift = abs(metered_j - integral_j)
+        return (drift > self.abs_tol + self.rel_tol * metered_j) & (
+            drift > self.abs_tol + self.rel_tol * integral_j
+        )
+
+    @staticmethod
+    def message(metered_j: float, integral_j: float) -> str:
+        return (
+            f"supply meter reads {metered_j:.6f} J but stepped power integrates "
+            f"to {integral_j:.6f} J (drift {abs(metered_j - integral_j):.2e} J)"
+        )
+
     def on_attach(self, world: World) -> None:
         self._baseline_j = self._meter_j(world)
 
@@ -93,13 +125,8 @@ class EnergyConservation(Invariant):
     ) -> None:
         self._integral_j += report.supply_power_w * dt
         metered = self._meter_j(world) - self._baseline_j
-        drift = abs(metered - self._integral_j)
-        if drift > self.abs_tol + self.rel_tol * max(metered, self._integral_j):
-            self.violate(
-                world,
-                f"supply meter reads {metered:.6f} J but stepped power "
-                f"integrates to {self._integral_j:.6f} J (drift {drift:.2e} J)",
-            )
+        if self.drifted(metered, self._integral_j):
+            self.violate(world, self.message(metered, self._integral_j))
 
     @staticmethod
     def _meter_j(world: World) -> float:
@@ -112,39 +139,39 @@ class TemperatureBounds(Invariant):
     name = "temperature-bounds"
 
     def __init__(
-        self,
-        junction_max_c: float = JUNCTION_MAX_C,
-        margin_c: float = BOUND_MARGIN_C,
+        self, junction_max_c: float = JUNCTION_MAX_C, margin_c: float = BOUND_MARGIN_C
     ) -> None:
         self.junction_max_c = junction_max_c
         self.margin_c = margin_c
         self._floor_c = math.inf
 
+    def too_cold(self, temp_c, floor_c):
+        return temp_c < floor_c - self.margin_c
+
+    def violated(self, temp_c, floor_c):
+        return self.too_cold(temp_c, floor_c) | (temp_c > self.junction_max_c)
+
+    def message(self, label: str, temp_c: float, floor_c: float) -> str:
+        if self.too_cold(temp_c, floor_c):
+            return (
+                f"{label} temperature {temp_c:.2f} °C fell below the "
+                f"coldest boundary seen ({floor_c:.2f} °C)"
+            )
+        return (
+            f"{label} temperature {temp_c:.2f} °C exceeds the "
+            f"junction ceiling ({self.junction_max_c:.1f} °C)"
+        )
+
     def on_attach(self, world: World) -> None:
-        temps = world.device.thermal.temperatures().values()
-        self._floor_c = min(temps)
+        self._floor_c = min(world.device.thermal.temperatures().values())
 
     def on_step(
         self, world: World, report: StepReport, ambient_c: float, dt: float
     ) -> None:
-        self._floor_c = min(self._floor_c, ambient_c)
-        floor = self._floor_c - self.margin_c
-        for label, temp in (
-            ("cpu", report.cpu_temp_c),
-            ("case", report.case_temp_c),
-        ):
-            if temp < floor:
-                self.violate(
-                    world,
-                    f"{label} temperature {temp:.2f} °C fell below the "
-                    f"coldest boundary seen ({self._floor_c:.2f} °C)",
-                )
-            if temp > self.junction_max_c:
-                self.violate(
-                    world,
-                    f"{label} temperature {temp:.2f} °C exceeds the "
-                    f"junction ceiling ({self.junction_max_c:.1f} °C)",
-                )
+        self._floor_c = floor = min(self._floor_c, ambient_c)
+        for label, temp in (("cpu", report.cpu_temp_c), ("case", report.case_temp_c)):
+            if self.violated(temp, floor):
+                self.violate(world, self.message(label, temp, floor))
 
 
 class MonotoneCooldown(Invariant):
@@ -165,22 +192,27 @@ class MonotoneCooldown(Invariant):
         self.slack_c = slack_c
         self._previous: Optional[StepReport] = None
 
+    def heated(self, previous_c, current_c, ambient_c):
+        return (previous_c > ambient_c + self.margin_c) & (
+            current_c > previous_c + self.slack_c
+        )
+
+    @staticmethod
+    def message(previous_c: float, current_c: float, ambient_c: float) -> str:
+        return (
+            f"sleeping die heated from {previous_c:.4f} to {current_c:.4f} °C "
+            f"while {previous_c - ambient_c:.2f} °C above ambient"
+        )
+
     def on_step(
         self, world: World, report: StepReport, ambient_c: float, dt: float
     ) -> None:
-        previous = self._previous
-        self._previous = report
+        previous, self._previous = self._previous, report
         if previous is None or not (previous.asleep and report.asleep):
             return
-        if previous.cpu_temp_c <= ambient_c + self.margin_c:
-            return
-        if report.cpu_temp_c > previous.cpu_temp_c + self.slack_c:
-            self.violate(
-                world,
-                f"sleeping die heated from {previous.cpu_temp_c:.4f} to "
-                f"{report.cpu_temp_c:.4f} °C while {previous.cpu_temp_c - ambient_c:.2f} °C "
-                f"above ambient",
-            )
+        args = (previous.cpu_temp_c, report.cpu_temp_c, ambient_c)
+        if self.heated(*args):
+            self.violate(world, self.message(*args))
 
 
 class ThrottleConsistency(Invariant):
@@ -191,37 +223,41 @@ class ThrottleConsistency(Invariant):
     def __init__(self, margin_c: float = THROTTLE_MARGIN_C) -> None:
         self.margin_c = margin_c
         self._previous_steps = 0
-        self._throttle_temp_c: Optional[float] = None
-        self._clear_temp_c: Optional[float] = None
+        self._spec: Optional[ThrottleSpec] = None
+
+    def violated(self, steps, previous, cpu_c, spec: ThrottleSpec):
+        """Deepened well below the throttle point, or relaxed still hot."""
+        return (
+            (steps > previous) & (cpu_c < spec.throttle_temp_c - self.margin_c)
+        ) | ((steps < previous) & (cpu_c > spec.clear_temp_c + self.margin_c))
+
+    @staticmethod
+    def message(steps, previous, cpu_c: float, spec: ThrottleSpec) -> str:
+        if steps > previous:
+            return (
+                f"throttle deepened to {int(steps)} step(s) with the die at "
+                f"{cpu_c:.2f} °C, well below the "
+                f"{spec.throttle_temp_c:.1f} °C threshold"
+            )
+        return (
+            f"throttle relaxed to {int(steps)} step(s) with the die still at "
+            f"{cpu_c:.2f} °C, above the {spec.clear_temp_c:.1f} °C clear temperature"
+        )
 
     def on_attach(self, world: World) -> None:
         self._previous_steps = world.device.soc.mitigation.ceiling_steps
-        throttle_spec = world.device.spec.throttle
-        self._throttle_temp_c = throttle_spec.throttle_temp_c
-        self._clear_temp_c = throttle_spec.clear_temp_c
+        self._spec = world.device.spec.throttle
 
     def on_step(
         self, world: World, report: StepReport, ambient_c: float, dt: float
     ) -> None:
         steps = world.device.soc.mitigation.ceiling_steps
-        previous = self._previous_steps
-        self._previous_steps = steps
-        if steps > previous and self._throttle_temp_c is not None:
-            if report.cpu_temp_c < self._throttle_temp_c - self.margin_c:
-                self.violate(
-                    world,
-                    f"throttle deepened to {steps} step(s) with the die at "
-                    f"{report.cpu_temp_c:.2f} °C, well below the "
-                    f"{self._throttle_temp_c:.1f} °C threshold",
-                )
-        elif steps < previous and self._clear_temp_c is not None:
-            if report.cpu_temp_c > self._clear_temp_c + self.margin_c:
-                self.violate(
-                    world,
-                    f"throttle relaxed to {steps} step(s) with the die still "
-                    f"at {report.cpu_temp_c:.2f} °C, above the "
-                    f"{self._clear_temp_c:.1f} °C clear temperature",
-                )
+        previous, self._previous_steps = self._previous_steps, steps
+        if steps == previous:
+            return
+        args = (steps, previous, report.cpu_temp_c, self._spec)
+        if self.violated(*args):
+            self.violate(world, self.message(*args))
 
 
 class TraceTimeMonotone(Invariant):
@@ -232,6 +268,17 @@ class TraceTimeMonotone(Invariant):
     def __init__(self) -> None:
         self._seen = 0
         self._last_time_s = -math.inf
+
+    @staticmethod
+    def stale(sample_s, last_s):
+        return sample_s <= last_s
+
+    @staticmethod
+    def message(sample_s: float, last_s: float) -> str:
+        return (
+            f"trace sample at t={sample_s:.4f} s does not advance "
+            f"past the previous sample at t={last_s:.4f} s"
+        )
 
     def on_attach(self, world: World) -> None:
         self._seen = len(world.trace)
@@ -248,12 +295,8 @@ class TraceTimeMonotone(Invariant):
         self._seen = len(trace)
         for sample_time in fresh:
             sample_time = float(sample_time)
-            if sample_time <= self._last_time_s:
-                self.violate(
-                    world,
-                    f"trace sample at t={sample_time:.4f} s does not advance "
-                    f"past the previous sample at t={self._last_time_s:.4f} s",
-                )
+            if self.stale(sample_time, self._last_time_s):
+                self.violate(world, self.message(sample_time, self._last_time_s))
             self._last_time_s = sample_time
 
 
@@ -269,7 +312,7 @@ def default_invariants() -> Tuple[Invariant, ...]:
 
 
 class InvariantSuite(StepObserver):
-    """A bundle of invariants driven as one engine observer.
+    """A bundle of invariants driven as one serial engine observer.
 
     Attach to a world directly, or let the protocol do it via
     ``AccubenchConfig(check_invariants=True)``.  ``steps_checked`` counts
@@ -294,25 +337,17 @@ class InvariantSuite(StepObserver):
         for invariant in self.invariants:
             invariant.on_step(world, report, ambient_c, dt)
 
-    def finish(self, world: World) -> None:
-        """Run end-of-run checks (call once after the scenario)."""
-        for invariant in self.invariants:
-            invariant.on_finish(world)
-
 
 class BatchedInvariantSuite:
-    """The five standard invariants vectorized over a batched cohort.
+    """The standard invariants driven over one batched cohort.
 
-    Where :class:`InvariantSuite` observes one world through the engine's
-    per-step hook, this suite observes a whole ``(N, nodes)`` cohort at
-    once: :class:`~repro.sim.batch.BatchedWorld` calls
-    :meth:`observe_awake` after every lock-step engine tick,
-    :meth:`observe_asleep` after every sleeping macro window, and
-    :meth:`observe_trace` whenever trace samples land.  Each check is the
-    element-wise form of its serial counterpart with identical tolerances,
-    and a violation raises the same
-    ``[name] message — at t=…, phase …, device …`` diagnostic for the
-    first offending unit in fleet order.
+    :class:`~repro.sim.batch.BatchedWorld` calls :meth:`observe_awake`
+    after every lock-step tick, :meth:`observe_asleep` after every
+    sleeping macro window and :meth:`observe_trace` whenever trace samples
+    land.  The per-unit state lives here as arrays, judged by the same
+    predicates and message builders :class:`InvariantSuite` drives; a
+    violation raises the same diagnostic for the first offending unit in
+    fleet order.
 
     Asleep macro windows integrate supply power over the whole window
     (exactly what the serial meter accumulates) and enforce monotone
@@ -326,17 +361,15 @@ class BatchedInvariantSuite:
         node_temps_c: np.ndarray,
         meter_j: np.ndarray,
         throttle_steps: np.ndarray,
-        throttle_temp_c: float,
-        clear_temp_c: float,
-        rel_tol: float = 1e-6,
-        abs_tol: float = 1e-3,
+        throttle: ThrottleSpec,
     ) -> None:
         count = len(serials)
         self.serials = list(serials)
-        self.rel_tol = rel_tol
-        self.abs_tol = abs_tol
-        self._throttle_temp_c = throttle_temp_c
-        self._clear_temp_c = clear_temp_c
+        self.energy, self.bounds, self.cooldown, self.throttle, self.trace_time = (
+            default_invariants()
+        )
+        self._throttle_spec = throttle
+        self._everyone = np.ones(count, dtype=bool)
         self._integral_j = np.zeros(count)
         self._baseline_j = np.array(meter_j, dtype=float)
         self._floor_c = np.asarray(node_temps_c, dtype=float).min(axis=1)
@@ -344,188 +377,89 @@ class BatchedInvariantSuite:
         self._prev_asleep = np.zeros(count, dtype=bool)
         self._prev_steps = np.array(throttle_steps)
         self._last_trace_s = np.full(count, -math.inf)
-        self.steps_checked = 0
-
-    # -- observer hooks ------------------------------------------------------
 
     def observe_awake(
-        self,
-        now_s: np.ndarray,
-        phase: Optional[str],
-        cpu_c: np.ndarray,
-        case_c: np.ndarray,
-        ambient_c: np.ndarray,
-        supply_w: np.ndarray,
-        meter_j: np.ndarray,
-        throttle_steps: np.ndarray,
-        dt: float,
+        self, now_s: np.ndarray, phase: Optional[str], cpu_c: np.ndarray,
+        case_c: np.ndarray, ambient_c: np.ndarray, supply_w: np.ndarray,
+        meter_j: np.ndarray, throttle_steps: np.ndarray, dt: float,
     ) -> None:
         """Check one lock-step awake tick across the whole cohort."""
-        self.steps_checked += 1
-        self._integral_j += supply_w * dt
-        self._check_energy(np.ones(cpu_c.size, dtype=bool), meter_j, now_s, phase)
-        np.minimum(self._floor_c, ambient_c, out=self._floor_c)
-        self._check_bounds("cpu", cpu_c, now_s, phase)
-        self._check_bounds("case", case_c, now_s, phase)
-        self._check_throttle(cpu_c, throttle_steps, now_s, phase)
+        everyone = self._everyone
+        self._observe(everyone, now_s, phase, cpu_c, ambient_c, supply_w * dt, meter_j)
+        self._check_bounds("case", case_c, everyone, now_s, phase)
+        throttle, spec, previous = self.throttle, self._throttle_spec, self._prev_steps
+        self._check(
+            throttle, throttle.violated(throttle_steps, previous, cpu_c, spec),
+            lambda i: throttle.message(throttle_steps[i], previous[i], cpu_c[i], spec),
+            now_s, phase,
+        )
+        self._prev_steps = np.array(throttle_steps)
         self._prev_cpu_c = np.array(cpu_c, dtype=float)
         self._prev_asleep[:] = False
 
     def observe_asleep(
-        self,
-        active: np.ndarray,
-        now_s: np.ndarray,
-        phase: Optional[str],
-        cpu_c: np.ndarray,
-        ambient_c: np.ndarray,
-        supply_w: float,
-        meter_j: np.ndarray,
-        duration_s: float,
+        self, active: np.ndarray, now_s: np.ndarray, phase: Optional[str],
+        cpu_c: np.ndarray, ambient_c: np.ndarray, supply_w: float,
+        meter_j: np.ndarray, duration_s: float,
     ) -> None:
-        """Check one sleeping macro window for the active cohort."""
-        self.steps_checked += 1
-        self._integral_j[active] += supply_w * duration_s
-        self._check_energy(active, meter_j, now_s, phase)
-        self._floor_c[active] = np.minimum(
-            self._floor_c[active], ambient_c[active]
+        """Check one sleeping macro window for the ``active`` units."""
+        energy_j = supply_w * duration_s
+        self._observe(active, now_s, phase, cpu_c, ambient_c, energy_j, meter_j)
+        cooldown, previous = self.cooldown, self._prev_cpu_c
+        self._check(
+            cooldown,
+            active & self._prev_asleep & cooldown.heated(previous, cpu_c, ambient_c),
+            lambda i: cooldown.message(previous[i], cpu_c[i], ambient_c[i]),
+            now_s, phase,
         )
-        self._check_bounds("cpu", cpu_c, now_s, phase, where=active)
-        heated = (
-            active
-            & self._prev_asleep
-            & (self._prev_cpu_c > ambient_c + COOLDOWN_MARGIN_C)
-            & (cpu_c > self._prev_cpu_c + MonotoneCooldown.DEFAULT_SLACK_C)
-        )
-        if heated.any():
-            i = int(np.flatnonzero(heated)[0])
-            self._violate(
-                "monotone-cooldown",
-                f"sleeping die heated from {self._prev_cpu_c[i]:.4f} to "
-                f"{cpu_c[i]:.4f} °C while "
-                f"{self._prev_cpu_c[i] - ambient_c[i]:.2f} °C above ambient",
-                i,
-                now_s,
-                phase,
-            )
         self._prev_cpu_c[active] = cpu_c[active]
         self._prev_asleep[active] = True
 
     def observe_trace(self, units: np.ndarray, times_s: np.ndarray) -> None:
         """Check that fresh trace samples advance each unit's timeline."""
-        stale = times_s <= self._last_trace_s[units]
+        last = self._last_trace_s[units]
+        stale = self.trace_time.stale(times_s, last)
         if stale.any():
             j = int(np.flatnonzero(stale)[0])
-            i = int(units[j])
-            self._violate(
-                "trace-time-monotone",
-                f"trace sample at t={times_s[j]:.4f} s does not advance "
-                f"past the previous sample at t={self._last_trace_s[i]:.4f} s",
-                i,
-                float(times_s[j]),
-                None,
+            raise violation(
+                self.trace_time.name, self.trace_time.message(times_s[j], last[j]),
+                float(times_s[j]), None, self.serials[int(units[j])],
             )
         self._last_trace_s[units] = times_s
 
-    # -- element-wise checks -------------------------------------------------
-
-    def _check_energy(
-        self,
-        active: np.ndarray,
-        meter_j: np.ndarray,
-        now_s: np.ndarray,
-        phase: Optional[str],
+    def _observe(
+        self, active: np.ndarray, now_s: np.ndarray, phase: Optional[str],
+        cpu_c: np.ndarray, ambient_c: np.ndarray, energy_j, meter_j: np.ndarray,
     ) -> None:
+        """The energy identity and die bounds, checked awake and asleep."""
+        energy, integral = self.energy, self._integral_j
+        integral += np.where(active, energy_j, 0.0)
         metered = meter_j - self._baseline_j
-        drift = np.abs(metered - self._integral_j)
-        tolerance = self.abs_tol + self.rel_tol * np.maximum(
-            metered, self._integral_j
+        self._check(
+            energy, active & energy.drifted(metered, integral),
+            lambda i: energy.message(metered[i], integral[i]), now_s, phase,
         )
-        bad = active & (drift > tolerance)
-        if bad.any():
-            i = int(np.flatnonzero(bad)[0])
-            self._violate(
-                "energy-conservation",
-                f"supply meter reads {metered[i]:.6f} J but stepped power "
-                f"integrates to {self._integral_j[i]:.6f} J "
-                f"(drift {drift[i]:.2e} J)",
-                i,
-                now_s,
-                phase,
-            )
+        floor = self._floor_c
+        floor[active] = np.minimum(floor[active], ambient_c[active])
+        self._check_bounds("cpu", cpu_c, active, now_s, phase)
 
     def _check_bounds(
-        self,
-        label: str,
-        temps_c: np.ndarray,
-        now_s: np.ndarray,
-        phase: Optional[str],
-        where: Optional[np.ndarray] = None,
+        self, label: str, temps_c: np.ndarray, active: np.ndarray,
+        now_s: np.ndarray, phase: Optional[str],
     ) -> None:
-        floor = self._floor_c - BOUND_MARGIN_C
-        low = temps_c < floor
-        high = temps_c > JUNCTION_MAX_C
-        bad = low | high
-        if where is not None:
-            bad &= where
+        bounds, floor = self.bounds, self._floor_c
+        self._check(
+            bounds, active & bounds.violated(temps_c, floor),
+            lambda i: bounds.message(label, temps_c[i], floor[i]), now_s, phase,
+        )
+
+    def _check(
+        self, invariant: Invariant, bad: np.ndarray, message: Callable[[int], str],
+        now_s: np.ndarray, phase: Optional[str],
+    ) -> None:
+        """Raise for the first unit, in fleet order, that ``bad`` flags."""
         if bad.any():
             i = int(np.flatnonzero(bad)[0])
-            if low[i]:
-                message = (
-                    f"{label} temperature {temps_c[i]:.2f} °C fell below the "
-                    f"coldest boundary seen ({self._floor_c[i]:.2f} °C)"
-                )
-            else:
-                message = (
-                    f"{label} temperature {temps_c[i]:.2f} °C exceeds the "
-                    f"junction ceiling ({JUNCTION_MAX_C:.1f} °C)"
-                )
-            self._violate("temperature-bounds", message, i, now_s, phase)
-
-    def _check_throttle(
-        self,
-        cpu_c: np.ndarray,
-        steps: np.ndarray,
-        now_s: np.ndarray,
-        phase: Optional[str],
-    ) -> None:
-        previous = self._prev_steps
-        deepened = (steps > previous) & (
-            cpu_c < self._throttle_temp_c - THROTTLE_MARGIN_C
-        )
-        if deepened.any():
-            i = int(np.flatnonzero(deepened)[0])
-            self._violate(
-                "throttle-consistency",
-                f"throttle deepened to {int(steps[i])} step(s) with the die "
-                f"at {cpu_c[i]:.2f} °C, well below the "
-                f"{self._throttle_temp_c:.1f} °C threshold",
-                i,
-                now_s,
-                phase,
+            raise violation(
+                invariant.name, message(i), float(now_s[i]), phase, self.serials[i]
             )
-        relaxed = (steps < previous) & (
-            cpu_c > self._clear_temp_c + THROTTLE_MARGIN_C
-        )
-        if relaxed.any():
-            i = int(np.flatnonzero(relaxed)[0])
-            self._violate(
-                "throttle-consistency",
-                f"throttle relaxed to {int(steps[i])} step(s) with the die "
-                f"still at {cpu_c[i]:.2f} °C, above the "
-                f"{self._clear_temp_c:.1f} °C clear temperature",
-                i,
-                now_s,
-                phase,
-            )
-        self._prev_steps = np.array(steps)
-
-    def _violate(
-        self, name: str, message: str, unit: int, now_s, phase: Optional[str]
-    ) -> None:
-        times = np.asarray(now_s, dtype=float)
-        at = float(times[unit]) if times.ndim else float(times)
-        phase = phase or "(no phase)"
-        raise InvariantViolation(
-            f"[{name}] {message} — at t={at:.2f} s, phase {phase}, "
-            f"device {self.serials[unit]}"
-        )

@@ -5,11 +5,12 @@ The serial campaign path runs each unit's iteration batch through its own
 whole fleet instead advances in lock-step through
 :class:`repro.sim.batch.BatchedWorld` — mixed device models grouped into
 per-model cohort blocks, one batched propagation and one vectorized power
-evaluation per engine step — while producing the same
-:class:`~repro.core.results.IterationResult` fields the protocol builds
-(within the ulp-level budget documented by ``repro.check``'s
-``BATCH_SPEC``).  Skin throttles, memory-bounded workloads and the
-runtime invariant suite all run vectorized inside the batched engine.
+evaluation per engine step.  Only the phase machine and the step loop
+are batched: results come from the protocol's own
+:func:`~repro.core.protocol.iteration_result` and tally publishers (within
+the ulp-level budget of ``repro.check``'s ``BATCH_SPEC``), and with
+invariants armed the batched engine's observer judges each unit with the
+same checks as the serial suite.
 
 Eligibility is decided by :func:`batch_ineligibility_reason`; only what
 the batched engine genuinely cannot model (Euler integration, disabled
@@ -25,15 +26,20 @@ import numpy as np
 
 from repro.core.config import AccubenchConfig
 from repro.core.experiments import ExperimentSpec
-from repro.core.protocol import MIN_COOLDOWN_MARGIN_C
+from repro.core.protocol import (
+    MIN_COOLDOWN_MARGIN_C,
+    iteration_result,
+    pin_frequency,
+    propagator_cache_counts,
+    publish_engine_tallies,
+    publish_instrument_tallies,
+)
 from repro.core.results import DeviceResult, IterationResult
 from repro.device.phone import Device
 from repro.errors import ConfigurationError
-from repro.instruments.monsoon import MonsoonPowerMonitor
 from repro.instruments.thermabox import BatchedThermabox, ThermaboxConfig
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.sim.batch import BatchedWorld
-from repro.sim.trace import Trace
 from repro.soc.perf import iterations_from_ops
 
 if TYPE_CHECKING:  # circular at runtime, exactly like repro.core.parallel
@@ -123,17 +129,10 @@ def run_batch(
         raise ConfigurationError(f"fleet is not batchable: {reason}")
     runner = CampaignRunner(config)
     bench = config.accubench
-    count = iterations if iterations is not None else bench.iterations
-    if count < 1:
-        raise ConfigurationError("iterations must be at least 1")
+    count = runner._iteration_count(iterations)
     units = len(devices)
     for device in devices:
-        volts = (
-            supply_voltage
-            if supply_voltage is not None
-            else runner.monsoon_voltage_for(device.spec)
-        )
-        device.connect_supply(MonsoonPowerMonitor(volts))
+        runner._connect_monsoon(device, supply_voltage)
 
     target = ambient_c if ambient_c is not None else config.ambient_c
     if config.use_thermabox:
@@ -146,17 +145,7 @@ def run_batch(
         room_temp = target
 
     registry = default_registry()
-    # One live propagator per model cohort; dedupe by identity so a shared
-    # instance is not double-counted in the cache telemetry.
-    propagators = list(
-        {
-            id(dev.thermal.propagator): dev.thermal.propagator
-            for dev in devices
-            if dev.thermal.propagator is not None
-        }.values()
-    )
-    hits_before = sum(p.cache_hits for p in propagators)
-    misses_before = sum(p.cache_misses for p in propagators)
+    cache_before = propagator_cache_counts(devices)
 
     results: List[List[IterationResult]] = [[] for _ in range(units)]
     started_wall = time.perf_counter()
@@ -195,37 +184,19 @@ def run_batch(
                     )
 
             for i, device in enumerate(devices):
-                trace = world.traces[i]
-                results[i].append(
-                    IterationResult(
-                        model=device.spec.name,
-                        serial=device.serial,
-                        workload=experiment.name,
-                        iterations_completed=iterations_from_ops(
-                            float(completed[i])
-                        ),
-                        energy_j=float(energy_j[i]),
-                        mean_power_w=float(energy_j[i]) / bench.workload_s,
-                        mean_freq_mhz=float(
-                            np.mean(trace.phase_column("workload", "freq"))
-                        ),
-                        max_cpu_temp_c=trace.max("cpu_temp"),
-                        cooldown_s=float(cooldown_s[i]),
-                        time_throttled_s=_throttled_time(trace),
-                        trace=trace if bench.keep_traces else None,
-                    )
-                )
+                results[i].append(iteration_result(
+                    device, experiment.name, world.traces[i], float(energy_j[i]),
+                    iterations_from_ops(float(completed[i])), float(cooldown_s[i]),
+                    bench.workload_s, bench.keep_traces,
+                ))
         world.finalize()
-    _publish_batch_metrics(
-        registry,
-        world,
-        chamber,
-        propagators,
-        hits_before,
-        misses_before,
-        looped_total,
-        time.perf_counter() - started_wall,
-    )
+    publish_instrument_tallies(registry, devices, cache_before, chamber)
+    if registry.enabled:
+        registry.gauge("batch.size").set(world.count)
+        registry.counter("batch.cohort_splits").add(world.cohort_splits)
+        wall_s = time.perf_counter() - started_wall
+        if wall_s > 0:
+            registry.gauge("batch.steps_per_sec").set(looped_total / wall_s)
     return [
         DeviceResult(
             model=device.spec.name,
@@ -253,11 +224,7 @@ def run_batch_iteration(
     """
     sim_clock = lambda: float(world.clock_now.max())  # noqa: E731
     world.begin_iteration()
-    if experiment.is_unconstrained:
-        world.unconstrain_frequency()
-    else:
-        assert experiment.fixed_freq_mhz is not None  # spec invariant
-        world.set_fixed_frequency(experiment.fixed_freq_mhz)
+    pin_frequency(world, experiment.fixed_freq_mhz)
 
     world.acquire_wakelock()
     world.start_load(bench.utilization, bench.memory_boundedness)
@@ -289,76 +256,9 @@ def run_batch_iteration(
     world.stop_load()
     world.release_wakelock()
     world.close()
-    _publish_iteration_metrics(registry, world)
+    publish_engine_tallies(
+        registry, int(world.looped_steps.sum()), int(world.fast_forward_steps.sum()),
+        int(world.fast_forward_windows.sum()), float(world.clock_now.sum()),
+        world.event_logs, world.count,
+    )
     return cooldown_s, energy_j, completed
-
-
-def _throttled_time(trace: Trace) -> float:
-    """Per-unit mirror of ``Accubench._throttled_time``."""
-    try:
-        steps = trace.phase_column("workload", "throttle_steps")
-    except Exception:  # no workload phase recorded
-        return 0.0
-    times = trace.times()
-    if times.size < 2 or steps.size == 0:
-        return 0.0
-    sample_spacing = float(times[1] - times[0])
-    return float((steps > 0).sum()) * sample_spacing
-
-
-def _publish_iteration_metrics(
-    registry: MetricsRegistry, world: BatchedWorld
-) -> None:
-    """One iteration's engine tallies, summed over units.
-
-    The counters land on the same keys ``Accubench._publish_world_metrics``
-    uses, so a metrics document reads identically whether the fleet ran
-    serially or batched.
-    """
-    if not registry.enabled:
-        return
-    registry.counter("engine.steps").add(int(world.looped_steps.sum()))
-    registry.counter("engine.fast_forward_steps").add(
-        int(world.fast_forward_steps.sum())
-    )
-    registry.counter("engine.fast_forward_windows").add(
-        int(world.fast_forward_windows.sum())
-    )
-    registry.counter("engine.sim_time_s").add(float(world.clock_now.sum()))
-    throttle = sum(log.count("throttle-step") for log in world.event_logs)
-    offline = sum(log.count("core-offline") for log in world.event_logs)
-    registry.counter("engine.throttle_events").add(throttle)
-    registry.counter("engine.core_offline_events").add(offline)
-    registry.counter("protocol.iterations").add(world.count)
-
-
-def _publish_batch_metrics(
-    registry: MetricsRegistry,
-    world: BatchedWorld,
-    chamber: Optional[BatchedThermabox],
-    propagators: Sequence,
-    hits_before: int,
-    misses_before: int,
-    looped_total: int,
-    wall_s: float,
-) -> None:
-    """Batch-level telemetry: instrument tallies plus batching gauges."""
-    if not registry.enabled:
-        return
-    hits = sum(p.cache_hits for p in propagators) - hits_before
-    misses = sum(p.cache_misses for p in propagators) - misses_before
-    registry.counter("propagator.cache_hits").add(hits)
-    registry.counter("propagator.cache_misses").add(misses)
-    registry.counter("thermabox.heater_duty_s").add(
-        float(chamber.heater_duty_seconds.sum()) if chamber is not None else 0.0
-    )
-    registry.counter("thermabox.cooler_duty_s").add(
-        float(chamber.cooler_duty_seconds.sum()) if chamber is not None else 0.0
-    )
-    registry.counter("thermabox.elapsed_s").add(
-        float(chamber.elapsed_s.sum()) if chamber is not None else 0.0
-    )
-    registry.gauge("batch.size").set(world.count)
-    registry.counter("batch.cohort_splits").add(world.cohort_splits)
-    if wall_s > 0:
-        registry.gauge("batch.steps_per_sec").set(looped_total / wall_s)

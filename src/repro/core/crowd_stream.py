@@ -38,9 +38,11 @@ against the serial reference at small N).
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
+import tempfile
 import time
 from dataclasses import asdict, dataclass, field
 from math import ceil
@@ -466,7 +468,7 @@ def write_checkpoint(
     param_rng_state: Dict[str, Any],
     telemetry: Optional[Dict[str, Any]] = None,
 ) -> None:
-    """Atomically persist the campaign cursor (write-then-rename).
+    """Atomically persist the campaign cursor (write, fsync, rename).
 
     ``telemetry`` is a small non-load-bearing block (users done, rate,
     wall time at write) that :func:`resume_banner` renders when the
@@ -481,17 +483,38 @@ def write_checkpoint(
     }
     if telemetry is not None:
         document["telemetry"] = dict(telemetry)
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fp:
-        json.dump(document, fp)
-    os.replace(tmp, path)
+    # A private temp file beside the target, so concurrent writers never
+    # share one; synced before the rename, removed if the dump fails.
+    fd, tmp = tempfile.mkstemp(
+        dir=os.path.dirname(os.path.abspath(path)),
+        prefix=f"{os.path.basename(path)}.",
+        suffix=".tmp",
+    )
+    try:
+        with os.fdopen(fd, "w") as fp:
+            json.dump(document, fp)
+            fp.flush()
+            os.fsync(fp.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path: str, fingerprint: str) -> Dict[str, Any]:
     """Load and validate a checkpoint written by :func:`write_checkpoint`."""
     with open(path) as fp:
-        document = json.load(fp)
-    if document.get("format") != CHECKPOINT_FORMAT:
+        try:
+            document = json.load(fp)
+        except ValueError as error:  # truncated, corrupt or not text
+            raise ConfigurationError(
+                f"checkpoint {path} is not valid JSON ({error}); "
+                "refusing to resume"
+            ) from error
+    if not isinstance(document, dict) or (
+        document.get("format") != CHECKPOINT_FORMAT
+    ):
         raise ConfigurationError(
             f"{path} is not a {CHECKPOINT_FORMAT} checkpoint"
         )

@@ -13,12 +13,14 @@ One iteration:
 
 A fixed-*work* variant (:meth:`Accubench.run_fixed_work`) supports the
 paper's Figures 1 and 2, which report energy to complete a set amount of
-work rather than work completed in set time.
+work rather than work completed in set time; it shares the conditioning.
+The batched engine (:mod:`repro.core.batch_runner`) builds its results and
+publishes its tallies through the module-level helpers here too.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,12 +32,129 @@ from repro.errors import ProtocolError
 from repro.instruments.thermabox import Thermabox
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.sim.engine import World
+from repro.sim.events import EventLog
+from repro.sim.trace import Trace
 from repro.soc.perf import PI_ITERATION_OPS, iterations_from_ops
 from repro.thermal.ambient import AmbientProfile
 
 #: The cooldown target can never be below ambient; hold at least this
 #: margin above the chamber/room temperature, °C.
 MIN_COOLDOWN_MARGIN_C = 6.0
+
+
+def throttled_time(trace: Trace) -> float:
+    """Seconds of the workload phase spent with any mitigation step."""
+    try:
+        steps = trace.phase_column("workload", "throttle_steps")
+    except Exception:  # no workload phase recorded
+        return 0.0
+    times = trace.times()
+    if times.size < 2 or steps.size == 0:
+        return 0.0
+    sample_spacing = float(times[1] - times[0])
+    return float((steps > 0).sum()) * sample_spacing
+
+
+def iteration_result(
+    device: Device, workload: str, trace: Trace, energy_j: float, completed: float,
+    cooldown_s: float, window_s: float, keep_trace: bool,
+) -> IterationResult:
+    """One unit's :class:`IterationResult` from its finished trace.
+
+    ``energy_j`` is the supply energy over the measured window of
+    ``window_s`` seconds and ``completed`` the work figure reported for
+    it.  Both engines build every result here.
+    """
+    return IterationResult(
+        model=device.spec.name,
+        serial=device.serial,
+        workload=workload,
+        iterations_completed=completed,
+        energy_j=energy_j,
+        mean_power_w=energy_j / window_s if window_s > 0 else 0.0,
+        mean_freq_mhz=float(np.mean(trace.phase_column("workload", "freq"))),
+        max_cpu_temp_c=trace.max("cpu_temp"),
+        cooldown_s=cooldown_s,
+        time_throttled_s=throttled_time(trace),
+        trace=trace if keep_trace else None,
+    )
+
+
+def pin_frequency(target, fixed_freq_mhz: Optional[float]) -> None:
+    """Pin a device (or batched world) at a frequency; ``None`` hands the
+    clock back to the performance governor."""
+    if fixed_freq_mhz is None:
+        target.unconstrain_frequency()
+    else:
+        target.set_fixed_frequency(fixed_freq_mhz)
+
+
+def publish_engine_tallies(
+    registry: MetricsRegistry, looped_steps: int, fast_forward_steps: int,
+    fast_forward_windows: int, sim_time_s: float, event_logs: Sequence[EventLog],
+    iterations: int,
+) -> None:
+    """Harvest finished iterations' engine tallies into the registry.
+
+    Worlds are fresh per protocol iteration, so the tallies are already
+    per-iteration deltas; the batched engine passes its per-unit sums.
+    Every key is published even at zero, so a metrics document has the
+    same schema whichever engine, solver or workload ran.
+    """
+    if not registry.enabled:
+        return
+    registry.counter("engine.steps").add(looped_steps)
+    registry.counter("engine.fast_forward_steps").add(fast_forward_steps)
+    registry.counter("engine.fast_forward_windows").add(fast_forward_windows)
+    registry.counter("engine.sim_time_s").add(sim_time_s)
+    registry.counter("engine.throttle_events").add(
+        sum(log.count("throttle-step") for log in event_logs)
+    )
+    registry.counter("engine.core_offline_events").add(
+        sum(log.count("core-offline") for log in event_logs)
+    )
+    registry.counter("protocol.iterations").add(iterations)
+
+
+def propagator_cache_counts(devices: Sequence[Device]) -> Tuple[int, int]:
+    """Summed (hits, misses) of the devices' distinct exact propagators.
+
+    Deduped by identity, so a propagator shared by a model cohort is not
+    double-counted.
+    """
+    propagators = {
+        id(dev.thermal.propagator): dev.thermal.propagator
+        for dev in devices
+        if dev.thermal.propagator is not None
+    }.values()
+    return (
+        sum(p.cache_hits for p in propagators),
+        sum(p.cache_misses for p in propagators),
+    )
+
+
+def publish_instrument_tallies(
+    registry: MetricsRegistry, devices: Sequence[Device],
+    counts_before: Tuple[int, int], chamber,
+) -> None:
+    """Harvest one run's propagator-cache and chamber-duty tallies.
+
+    ``counts_before`` is :func:`propagator_cache_counts` at run start:
+    propagators outlive a run, chambers do not.  ``chamber`` is a
+    :class:`~repro.instruments.thermabox.Thermabox`, its batched form
+    (summed over units) or ``None``.
+    """
+    if not registry.enabled:
+        return
+    hits, misses = propagator_cache_counts(devices)
+    registry.counter("propagator.cache_hits").add(hits - counts_before[0])
+    registry.counter("propagator.cache_misses").add(misses - counts_before[1])
+    for key, attr in (("heater_duty_s", "heater_duty_seconds"),
+                      ("cooler_duty_s", "cooler_duty_seconds"),
+                      ("elapsed_s", "elapsed_s")):
+        registry.counter(f"thermabox.{key}").add(
+            float(np.sum(getattr(chamber, attr))) if chamber is not None else 0.0
+        )
 
 
 class Accubench:
@@ -60,75 +179,15 @@ class Accubench:
         paper's back-to-back iterations; the warmup/cooldown phases exist
         to normalize it.
         """
-        supply = self._require_energy_metering(device)
         config = self.config
-        world = World(
-            device,
-            room=room,
-            chamber=chamber,
-            dt=config.dt,
-            trace_decimation=config.trace_decimation,
-            sleep_fast_forward=config.sleep_fast_forward,
+        world = self._new_world(device, room, chamber)
+        pin_frequency(device, experiment.fixed_freq_mhz)
+        cooldown_s, energy_j, ops, _ = self._run_phases(
+            world, lambda w: w.run_for(config.workload_s)
         )
-        invariants = self._attach_invariants(world)
-
-        self._configure_frequency(device, experiment)
-        registry = default_registry()
-        sim_clock = lambda: world.now  # noqa: E731
-
-        # Phase 1: warmup.
-        device.acquire_wakelock()
-        device.start_load(config.utilization, config.memory_boundedness)
-        world.set_phase("warmup")
-        with registry.span("phase.warmup", clock=sim_clock):
-            world.run_for(config.warmup_s)
-
-        # Phase 2: cooldown (suspend; poll the sensor every few seconds).
-        device.stop_load()
-        device.release_wakelock()
-        world.set_phase("cooldown")
-        target_c = max(
-            config.cooldown_target_c, world.ambient_c + MIN_COOLDOWN_MARGIN_C
-        )
-        with registry.span("phase.cooldown", clock=sim_clock):
-            cooldown_s = world.run_until(
-                lambda w: w.device.read_cpu_temp() <= target_c,
-                check_every_s=config.cooldown_poll_s,
-                timeout_s=config.cooldown_timeout_s,
-            )
-
-        # Phase 3: workload (the measured window).
-        device.acquire_wakelock()
-        device.start_load(config.utilization, config.memory_boundedness)
-        energy_before = supply.energy_drawn_j
-        ops_before = world.ops_total
-        world.set_phase("workload")
-        with registry.span("phase.workload", clock=sim_clock):
-            world.run_for(config.workload_s)
-        energy_j = supply.energy_drawn_j - energy_before
-        mean_power_w = energy_j / config.workload_s
-        completed = iterations_from_ops(world.ops_total - ops_before)
-        device.stop_load()
-        device.release_wakelock()
-        world.close()
-        if invariants is not None:
-            invariants.finish(world)
-        self._publish_world_metrics(registry, world)
-
-        return IterationResult(
-            model=device.spec.name,
-            serial=device.serial,
-            workload=experiment.name,
-            iterations_completed=completed,
-            energy_j=energy_j,
-            mean_power_w=mean_power_w,
-            mean_freq_mhz=float(
-                np.mean(world.trace.phase_column("workload", "freq"))
-            ),
-            max_cpu_temp_c=world.trace.max("cpu_temp"),
-            cooldown_s=cooldown_s,
-            time_throttled_s=self._throttled_time(world),
-            trace=world.trace if config.keep_traces else None,
+        return iteration_result(
+            device, experiment.name, world.trace, energy_j, iterations_from_ops(ops),
+            cooldown_s, config.workload_s, config.keep_traces,
         )
 
     def run_fixed_work(
@@ -149,33 +208,86 @@ class Accubench:
         starting state matters just as much for energy comparisons.
         ``fixed_freq_mhz`` pins the clock (Figure 2 runs at a set
         frequency); ``None`` leaves the performance governor in charge.
+        The result reports the time to completion, in seconds, as
+        ``iterations_completed`` and a zero ``cooldown_s``.
         """
         if work_iterations <= 0:
             raise ProtocolError("work_iterations must be positive")
-        supply = self._require_energy_metering(device)
+        config = self.config
+        world = self._new_world(device, room, chamber)
+        pin_frequency(device, fixed_freq_mhz)
+
+        def workload(w: World) -> None:
+            ops_target = w.ops_total + work_iterations * PI_ITERATION_OPS
+            w.run_until(
+                lambda w: w.ops_total >= ops_target,
+                check_every_s=max(config.dt, 1.0),
+                timeout_s=timeout_s,
+            )
+
+        _, energy_j, _, duration_s = self._run_phases(
+            world, workload, condition=not skip_conditioning
+        )
+        return iteration_result(
+            device, f"FIXED-WORK({work_iterations:g})", world.trace, energy_j,
+            duration_s, 0.0, duration_s, config.keep_traces,
+        )
+
+    # -- internals --------------------------------------------------------
+
+    def _new_world(
+        self, device: Device, room: Optional[AmbientProfile],
+        chamber: Optional[Thermabox],
+    ) -> World:
+        """A fresh world for one pass, with the invariant suite if asked.
+
+        The device must be powered from an energy-metered supply.
+        :mod:`repro.check` is imported lazily: it depends on the runner,
+        which depends on this module.
+        """
+        if not hasattr(device.supply, "energy_drawn_j"):
+            raise ProtocolError(
+                "ACCUBENCH measures energy at the supply: power the device "
+                "from a MonsoonPowerMonitor or Battery (both meter energy "
+                "via .energy_drawn_j)"
+            )
         config = self.config
         world = World(
-            device,
-            room=room,
-            chamber=chamber,
-            dt=config.dt,
+            device, room=room, chamber=chamber, dt=config.dt,
             trace_decimation=config.trace_decimation,
             sleep_fast_forward=config.sleep_fast_forward,
         )
-        invariants = self._attach_invariants(world)
-        if fixed_freq_mhz is None:
-            device.unconstrain_frequency()
-        else:
-            device.set_fixed_frequency(fixed_freq_mhz)
+        if config.check_invariants:
+            from repro.check.invariants import InvariantSuite
 
+            world.attach_observer(InvariantSuite())
+        return world
+
+    def _run_phases(
+        self, world: World, workload: Callable[[World], None], condition: bool = True
+    ) -> Tuple[float, float, float, float]:
+        """Warmup → cooldown conditioning, then the measured workload.
+
+        ``workload(world)`` advances the measured window under load.
+        Returns ``(cooldown_s, energy_j, ops, duration_s)`` for the pass;
+        ``cooldown_s`` is zero when ``condition`` is false.
+        """
+        config = self.config
+        device = world.device
+        supply = device.supply
         registry = default_registry()
         sim_clock = lambda: world.now  # noqa: E731
-        if not skip_conditioning:
+        cooldown_s = 0.0
+
+        if condition:
+            # Phase 1: warmup.
             device.acquire_wakelock()
             device.start_load(config.utilization, config.memory_boundedness)
             world.set_phase("warmup")
             with registry.span("phase.warmup", clock=sim_clock):
                 world.run_for(config.warmup_s)
+
+            # Phase 2: cooldown (suspend; poll the sensor every few seconds).
             device.stop_load()
             device.release_wakelock()
             world.set_phase("cooldown")
@@ -183,121 +295,30 @@ class Accubench:
                 config.cooldown_target_c, world.ambient_c + MIN_COOLDOWN_MARGIN_C
             )
             with registry.span("phase.cooldown", clock=sim_clock):
-                world.run_until(
+                cooldown_s = world.run_until(
                     lambda w: w.device.read_cpu_temp() <= target_c,
                     check_every_s=config.cooldown_poll_s,
                     timeout_s=config.cooldown_timeout_s,
                 )
 
+        # Phase 3: workload (the measured window).
         device.acquire_wakelock()
         device.start_load(config.utilization, config.memory_boundedness)
         energy_before = supply.energy_drawn_j
         ops_before = world.ops_total
-        ops_target = ops_before + work_iterations * PI_ITERATION_OPS
-        world.set_phase("workload")
         started = world.now
+        world.set_phase("workload")
         with registry.span("phase.workload", clock=sim_clock):
-            world.run_until(
-                lambda w: w.ops_total >= ops_target,
-                check_every_s=max(config.dt, 1.0),
-                timeout_s=timeout_s,
-            )
-        duration_s = world.now - started
+            workload(world)
         energy_j = supply.energy_drawn_j - energy_before
-        mean_power_w = energy_j / duration_s if duration_s > 0 else 0.0
+        ops = world.ops_total - ops_before
+        duration_s = world.now - started
         device.stop_load()
         device.release_wakelock()
         world.close()
-        if invariants is not None:
-            invariants.finish(world)
-        self._publish_world_metrics(registry, world)
-
-        return IterationResult(
-            model=device.spec.name,
-            serial=device.serial,
-            workload=f"FIXED-WORK({work_iterations:g})",
-            iterations_completed=duration_s,  # time-to-completion, seconds
-            energy_j=energy_j,
-            mean_power_w=mean_power_w,
-            mean_freq_mhz=float(
-                np.mean(world.trace.phase_column("workload", "freq"))
-            ),
-            max_cpu_temp_c=world.trace.max("cpu_temp"),
-            cooldown_s=0.0,
-            time_throttled_s=self._throttled_time(world),
-            trace=world.trace if config.keep_traces else None,
+        publish_engine_tallies(
+            registry, world.clock.steps - world.fast_forward_steps,
+            world.fast_forward_steps, world.fast_forwards, world.now,
+            (world.events,), 1,
         )
-
-    # -- internals --------------------------------------------------------
-
-    def _attach_invariants(self, world: World):
-        """Attach the runtime invariant suite when the config asks for it.
-
-        Imported lazily: :mod:`repro.check` depends on the runner, which
-        depends on this module.
-        """
-        if not self.config.check_invariants:
-            return None
-        from repro.check.invariants import InvariantSuite
-
-        suite = InvariantSuite()
-        world.attach_observer(suite)
-        return suite
-
-    @staticmethod
-    def _publish_world_metrics(registry: MetricsRegistry, world: World) -> None:
-        """Harvest one finished world's tallies into the registry.
-
-        Worlds are created per protocol iteration, so their counts are
-        already per-iteration deltas.  Every key is published even at
-        zero, so a metrics document always has the full schema regardless
-        of solver or workload.
-        """
-        if not registry.enabled:
-            return
-        looped = world.clock.steps - world.fast_forward_steps
-        registry.counter("engine.steps").add(looped)
-        registry.counter("engine.fast_forward_steps").add(world.fast_forward_steps)
-        registry.counter("engine.fast_forward_windows").add(world.fast_forwards)
-        registry.counter("engine.sim_time_s").add(world.now)
-        events = world.events
-        registry.counter("engine.throttle_events").add(
-            events.count("throttle-step")
-        )
-        registry.counter("engine.core_offline_events").add(
-            events.count("core-offline")
-        )
-        registry.counter("protocol.iterations").inc()
-
-    @staticmethod
-    def _require_energy_metering(device: Device):
-        """The supply must expose cumulative energy accounting."""
-        supply = device.supply
-        if not hasattr(supply, "energy_drawn_j"):
-            raise ProtocolError(
-                "ACCUBENCH measures energy at the supply: power the device "
-                "from a MonsoonPowerMonitor or Battery (both meter energy "
-                "via .energy_drawn_j)"
-            )
-        return supply
-
-    @staticmethod
-    def _configure_frequency(device: Device, experiment: ExperimentSpec) -> None:
-        if experiment.is_unconstrained:
-            device.unconstrain_frequency()
-        else:
-            assert experiment.fixed_freq_mhz is not None  # spec invariant
-            device.set_fixed_frequency(experiment.fixed_freq_mhz)
-
-    @staticmethod
-    def _throttled_time(world: World) -> float:
-        trace = world.trace
-        try:
-            steps = trace.phase_column("workload", "throttle_steps")
-        except Exception:  # no workload phase recorded
-            return 0.0
-        times = trace.times()
-        if times.size < 2 or steps.size == 0:
-            return 0.0
-        sample_spacing = float(times[1] - times[0])
-        return float((steps > 0).sum()) * sample_spacing
+        return cooldown_s, energy_j, ops, duration_s

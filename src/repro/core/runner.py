@@ -22,7 +22,11 @@ from repro.core.batch_runner import (
 from repro.core.config import AccubenchConfig
 from repro.core.experiments import ExperimentSpec, fixed_frequency, unconstrained
 from repro.core.parallel import BatchTask, DeviceTask, Task, run_tasks
-from repro.core.protocol import Accubench
+from repro.core.protocol import (
+    Accubench,
+    propagator_cache_counts,
+    publish_instrument_tallies,
+)
 from repro.core.results import DeviceResult, ExperimentResult
 from repro.device.catalog import DeviceSpec
 from repro.device.fleet import paper_fleet
@@ -30,7 +34,7 @@ from repro.device.phone import Device
 from repro.errors import ConfigurationError
 from repro.instruments.monsoon import MonsoonPowerMonitor
 from repro.instruments.thermabox import Thermabox, ThermaboxConfig
-from repro.obs.metrics import MetricsRegistry, default_registry
+from repro.obs.metrics import default_registry
 from repro.obs.progress import ProgressCallback
 from repro.rng import DEFAULT_ROOT_SEED
 from repro.thermal.ambient import AmbientProfile, ConstantAmbient
@@ -135,6 +139,20 @@ class CampaignRunner:
             return spec.battery.max_v
         return spec.battery.nominal_v
 
+    def _iteration_count(self, iterations: Optional[int]) -> int:
+        if iterations is None:
+            iterations = self.config.accubench.iterations
+        if iterations < 1:
+            raise ConfigurationError("iterations must be at least 1")
+        return iterations
+
+    def _connect_monsoon(self, device: Device, supply_voltage: Optional[float]) -> None:
+        """Power a unit from its Monsoon (``supply_voltage`` overrides the
+        methodology's choice)."""
+        if supply_voltage is None:
+            supply_voltage = self.monsoon_voltage_for(device.spec)
+        device.connect_supply(MonsoonPowerMonitor(supply_voltage))
+
     def run_device(
         self,
         device: Device,
@@ -148,21 +166,11 @@ class CampaignRunner:
         ``supply_voltage`` overrides the methodology's voltage choice for
         this unit only — the knob behind the paper's Figure 10 experiment.
         """
-        count = iterations if iterations is not None else self.config.accubench.iterations
-        if count < 1:
-            raise ConfigurationError("iterations must be at least 1")
-        volts = (
-            supply_voltage
-            if supply_voltage is not None
-            else self.monsoon_voltage_for(device.spec)
-        )
-        monsoon = MonsoonPowerMonitor(volts)
-        device.connect_supply(monsoon)
+        count = self._iteration_count(iterations)
+        self._connect_monsoon(device, supply_voltage)
         room, chamber = self._environment(ambient_c)
         registry = default_registry()
-        propagator = device.thermal.propagator
-        hits_before = propagator.cache_hits if propagator is not None else 0
-        misses_before = propagator.cache_misses if propagator is not None else 0
+        cache_before = propagator_cache_counts([device])
         with registry.span(
             "run_device",
             model=device.spec.name,
@@ -178,9 +186,7 @@ class CampaignRunner:
                 )
                 for _ in range(count)
             )
-        self._publish_device_metrics(
-            registry, chamber, propagator, hits_before, misses_before
-        )
+        publish_instrument_tallies(registry, [device], cache_before, chamber)
         return DeviceResult(
             model=device.spec.name,
             serial=device.serial,
@@ -394,40 +400,6 @@ class CampaignRunner:
             )
             cursor += count
         return experiments
-
-    @staticmethod
-    def _publish_device_metrics(
-        registry: MetricsRegistry,
-        chamber: Optional[Thermabox],
-        propagator,
-        hits_before: int,
-        misses_before: int,
-    ) -> None:
-        """Harvest per-batch instrument tallies into the registry.
-
-        The chamber is created per :meth:`run_device` call, so its duty
-        totals are already batch-local; the propagator belongs to the
-        device (which outlives the call), so deltas are taken against the
-        counts captured at batch start.  Keys are always published so the
-        document schema is solver-independent.
-        """
-        if not registry.enabled:
-            return
-        hits = propagator.cache_hits - hits_before if propagator is not None else 0
-        misses = (
-            propagator.cache_misses - misses_before if propagator is not None else 0
-        )
-        registry.counter("propagator.cache_hits").add(hits)
-        registry.counter("propagator.cache_misses").add(misses)
-        registry.counter("thermabox.heater_duty_s").add(
-            chamber.heater_duty_seconds if chamber is not None else 0.0
-        )
-        registry.counter("thermabox.cooler_duty_s").add(
-            chamber.cooler_duty_seconds if chamber is not None else 0.0
-        )
-        registry.counter("thermabox.elapsed_s").add(
-            chamber.elapsed_s if chamber is not None else 0.0
-        )
 
     def _environment(
         self, ambient_c: Optional[float]

@@ -517,7 +517,9 @@ class _CohortWorld:
         self._ff_steps = np.zeros(count, dtype=np.int64)
         self._phase = None
         if self._check_invariants:
-            # Imported lazily, mirroring Accubench._attach_invariants:
+            # The batched observer of the invariants the serial engine's
+            # InvariantSuite drives: the same checks, fed per-unit arrays.
+            # Imported lazily, mirroring Accubench._new_world:
             # repro.check depends on the runner, which depends on this
             # module.  Fresh per iteration, like the serial per-World suite.
             from repro.check.invariants import BatchedInvariantSuite
@@ -527,8 +529,7 @@ class _CohortWorld:
                 node_temps_c=self._temps,
                 meter_j=self._energy_total,
                 throttle_steps=self._stw_steps,
-                throttle_temp_c=self._spec.throttle.throttle_temp_c,
-                clear_temp_c=self._spec.throttle.clear_temp_c,
+                throttle=self._spec.throttle,
             )
 
     def acquire_wakelock(self) -> None:
@@ -1185,10 +1186,7 @@ class _CohortWorld:
             # monotone-time checker — mirroring what the serial checker
             # sees, where an overwrite never grows the trace.
             fresh = times > self._last_trace_stamp[units]
-            if fresh.all():
-                self._invariants.observe_trace(units, times)
-            elif fresh.any():
-                self._invariants.observe_trace(units[fresh], times[fresh])
+            self._invariants.observe_trace(units[fresh], times[fresh])
         self._last_trace_stamp[units] = times
         traces = self.traces
         for j, i in enumerate(units):

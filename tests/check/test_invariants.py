@@ -1,5 +1,6 @@
 """Invariant checkers: clean runs pass, sabotaged physics is caught."""
 
+import numpy as np
 import pytest
 
 from repro.check.invariants import (
@@ -13,7 +14,10 @@ from repro.check.invariants import (
 )
 from repro.check.strategies import scenario_device, scenario_world
 from repro.errors import InvariantViolation, SimulationError
+from repro.sim.batch import BatchedWorld
+from repro.sim.engine import World
 from repro.soc.throttling import MitigationState
+from repro.units import PAPER_AMBIENT_C
 
 
 def warm_world(**kwargs):
@@ -59,7 +63,6 @@ class TestCleanRunsPass:
         world.set_phase("warmup")
         world.run_for(10.0)
         world.close()
-        suite.finish(world)
         assert suite.steps_checked > 0
 
     def test_full_suite_through_fast_forwarded_cooldown(self):
@@ -76,7 +79,6 @@ class TestCleanRunsPass:
             timeout_s=7200.0,
         )
         world.close()
-        suite.finish(world)
         assert world.fast_forwards > 0
         assert suite.steps_checked > 0
 
@@ -153,6 +155,106 @@ class TestViolationsCaught:
         assert "phase warmup" in message
         assert "t=" in message
         assert world.device.serial in message
+
+
+class UnitUnderCheck:
+    """One warm expm unit with every invariant armed, on either engine.
+
+    Each seeded fault reaches into the engine's own state: the serial
+    device's supply, thermal network, mitigation and trace, or the
+    batched cohort's arrays.
+    """
+
+    def __init__(self, engine):
+        self.device = scenario_device(thermal_solver="expm")
+        if engine == "serial":
+            self.world = World(self.device, dt=0.2, trace_decimation=1)
+            self.world.attach_observer(InvariantSuite())
+            self.cohort = None
+            awake = self.device
+        else:
+            self.world = BatchedWorld(
+                [self.device],
+                room_temp_c=PAPER_AMBIENT_C,
+                dt=0.2,
+                trace_decimation=1,
+                check_invariants=True,
+            )
+            self.cohort = self.world._cohorts[0][1]
+            awake = self.world
+        awake.acquire_wakelock()
+        awake.start_load()
+        self.world.set_phase("warmup")
+
+    def tamper_meter(self, joules):
+        if self.cohort is None:
+            self.device.supply._energy_total_j += joules
+        else:
+            self.cohort._energy_total += joules
+
+    def chill(self, delta_c):
+        if self.cohort is None:
+            thermal = self.device.thermal
+            for name, temp in thermal.temperatures().items():
+                thermal.set_temperature(name, temp - delta_c)
+        else:
+            self.cohort._temps -= delta_c
+
+    def force_throttle(self, steps):
+        """Deepen the stepwise mitigation policy without a hot die."""
+        if self.cohort is None:
+            self.device.soc.throttle.stepwise._steps = steps
+        else:
+            self.cohort._stw_steps[:] = steps
+
+    def stall_trace(self):
+        """Record the next sample without advancing past the last one."""
+        if self.cohort is None:
+            trace = self.world.trace
+            trace._buffer[trace._size] = trace._buffer[trace._size - 1]
+            trace._size += 1
+            trace._views.clear()
+        else:
+            self.cohort._clock_steps -= 1
+            self.cohort._last_trace_stamp[:] = -np.inf
+
+
+@pytest.mark.parametrize("engine", ["serial", "batched"])
+class TestViolationsCaughtOnBothEngines:
+    """The same seeded fault trips the same check on the same device,
+    whichever engine's observer drives the shared invariants."""
+
+    def assert_violation(self, unit, name, fragment):
+        with pytest.raises(InvariantViolation) as caught:
+            unit.world.run_for(1.0)
+        message = str(caught.value)
+        assert message.startswith(f"[{name}] "), message
+        assert fragment in message
+        assert f"device {unit.device.serial}" in message
+
+    def test_energy_meter_tampering(self, engine):
+        unit = UnitUnderCheck(engine)
+        unit.world.run_for(2.0)
+        unit.tamper_meter(5.0)
+        self.assert_violation(unit, "energy-conservation", "supply meter reads")
+
+    def test_cooling_below_coldest_boundary(self, engine):
+        unit = UnitUnderCheck(engine)
+        unit.world.run_for(1.0)
+        unit.chill(40.0)
+        self.assert_violation(unit, "temperature-bounds", "coldest boundary")
+
+    def test_cold_throttle_step(self, engine):
+        unit = UnitUnderCheck(engine)
+        unit.world.run_for(1.0)
+        unit.force_throttle(2)
+        self.assert_violation(unit, "throttle-consistency", "throttle deepened")
+
+    def test_stalled_trace_sample(self, engine):
+        unit = UnitUnderCheck(engine)
+        unit.world.run_for(1.0)
+        unit.stall_trace()
+        self.assert_violation(unit, "trace-time-monotone", "does not advance")
 
 
 class TestProtocolIntegration:

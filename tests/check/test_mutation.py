@@ -9,8 +9,9 @@ sides — a monkeypatch does not cross process-pool boundaries.
 The scenario pairings that gate the lifted batch-eligibility
 restrictions get mutants of their own: a biased batched skin-throttle
 state machine, a biased memory-bounded roofline share, and a biased
-vectorized invariant integral must each be flagged by the pairing (or
-checker) that claims to guard it.  The execution-backend pairings get a
+energy-conservation predicate (shared by the serial and batched
+invariant observers) must each be flagged by the pairing (or checker)
+that claims to guard it.  The execution-backend pairings get a
 transport mutant: a corrupted sample in the shared-memory attach path
 must be flagged by the trace-byte comparison.
 """
@@ -27,7 +28,7 @@ from repro.check.differential import (
     run_pairing,
     solver_pairing,
 )
-from repro.check.invariants import BatchedInvariantSuite
+from repro.check.invariants import EnergyConservation
 from repro.core.experiments import unconstrained
 from repro.core.runner import CampaignRunner
 from repro.errors import InvariantViolation
@@ -202,18 +203,19 @@ class TestMutationDetection:
         assert report.passed, report.render()
 
     def test_biased_vectorized_invariant_integral_is_flagged(self, monkeypatch):
-        # Corrupt the vectorized checker's own energy integral: the
-        # conservation invariant must trip on an otherwise healthy run,
-        # proving the batched observers are live rather than decorative.
-        original = BatchedInvariantSuite.observe_awake
+        # Bias the one energy-conservation predicate both engines' observers
+        # call: the invariant must trip an otherwise healthy serial run and
+        # an otherwise healthy batched run alike, proving both observers
+        # are live rather than decorative.
+        original = EnergyConservation.drifted
 
-        def biased(self, *args, **kwargs):
-            self._integral_j *= 1.001
-            original(self, *args, **kwargs)
+        def biased(self, metered_j, integral_j):
+            return original(self, metered_j, integral_j * 1.001)
 
-        monkeypatch.setattr(BatchedInvariantSuite, "observe_awake", biased)
-        config = batch_invariants_pairing(tiny_base()).config_b
-        with pytest.raises(InvariantViolation):
-            CampaignRunner(config).run_fleet(
-                MODEL, unconstrained(), iterations=1, jobs=1
-            )
+        monkeypatch.setattr(EnergyConservation, "drifted", biased)
+        pairing = batch_invariants_pairing(tiny_base())
+        for config in (pairing.config_a, pairing.config_b):
+            with pytest.raises(InvariantViolation, match="energy-conservation"):
+                CampaignRunner(config).run_fleet(
+                    MODEL, unconstrained(), iterations=1, jobs=1
+                )

@@ -27,6 +27,7 @@ from repro.core.crowd import (
     prepare_field_device,
     run_crowd_study,
 )
+from repro.core import crowd_stream
 from repro.core.crowd_stream import (
     CrowdEstimators,
     execute_cohort,
@@ -150,6 +151,64 @@ class TestCheckpointResume:
             run_streaming_crowd_study(other, cohort_size=3, checkpoint_path=path)
         with pytest.raises(ConfigurationError):
             load_checkpoint(path, "not-the-fingerprint")
+
+    def test_truncated_checkpoint_refuses_to_resume(self, micro_config, tmp_path):
+        path = str(tmp_path / "crowd.ckpt")
+        run_streaming_crowd_study(
+            micro_config, cohort_size=3, checkpoint_path=path,
+            stop_after_cohorts=1,
+        )
+        with open(path) as fp:
+            text = fp.read()
+        with open(path, "w") as fp:
+            fp.write(text[: len(text) // 2])
+        with pytest.raises(ConfigurationError, match="crowd.ckpt"):
+            run_streaming_crowd_study(
+                micro_config, cohort_size=3, checkpoint_path=path
+            )
+
+    @pytest.mark.parametrize("content", ["", "not json", "[1, 2]", "null"])
+    def test_foreign_checkpoint_is_a_configuration_error(self, tmp_path, content):
+        path = tmp_path / "crowd.ckpt"
+        path.write_text(content)
+        with pytest.raises(ConfigurationError, match=str(path)):
+            load_checkpoint(str(path), "any")
+
+    def test_failed_dump_keeps_previous_checkpoint_and_no_temp_file(
+        self, micro_config, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "crowd.ckpt"
+        run_streaming_crowd_study(
+            micro_config, cohort_size=3, checkpoint_path=str(path),
+            stop_after_cohorts=1,
+        )
+        before = path.read_bytes()
+        files = sorted(tmp_path.iterdir())
+
+        def failing_dump(document, fp):
+            fp.write('{"format": ')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(crowd_stream.json, "dump", failing_dump)
+        with pytest.raises(OSError, match="disk full"):
+            crowd_stream.write_checkpoint(
+                str(path), "fingerprint", 2, CrowdEstimators(root_seed=0), {}
+            )
+        assert path.read_bytes() == before
+        assert sorted(tmp_path.iterdir()) == files
+
+    def test_stale_fixed_temp_file_is_not_clobbered(self, micro_config, tmp_path):
+        path = tmp_path / "crowd.ckpt"
+        stale = tmp_path / "crowd.ckpt.tmp"
+        stale.write_text("another writer's half-written checkpoint")
+        result = run_streaming_crowd_study(
+            micro_config, cohort_size=3, checkpoint_path=str(path)
+        )
+        assert stale.read_text() == "another writer's half-written checkpoint"
+        document = load_checkpoint(str(path), result.fingerprint)
+        assert document["cohorts_done"] == result.cohorts_total
+        temps = [p.name for p in tmp_path.iterdir() if p.suffix == ".tmp"]
+        assert temps == ["crowd.ckpt.tmp"]
 
 
 class TestMixedModelResume:
