@@ -38,11 +38,9 @@ against the serial reference at small N).
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import os
-import tempfile
 import time
 from dataclasses import asdict, dataclass, field
 from math import ceil
@@ -81,6 +79,7 @@ from repro.errors import AnalysisError, ConfigurationError
 from repro.obs.manifest import (
     build_manifest,
     manifest_path_for,
+    write_atomic,
     write_manifest,
 )
 from repro.obs.metrics import default_registry
@@ -483,23 +482,7 @@ def write_checkpoint(
     }
     if telemetry is not None:
         document["telemetry"] = dict(telemetry)
-    # A private temp file beside the target, so concurrent writers never
-    # share one; synced before the rename, removed if the dump fails.
-    fd, tmp = tempfile.mkstemp(
-        dir=os.path.dirname(os.path.abspath(path)),
-        prefix=f"{os.path.basename(path)}.",
-        suffix=".tmp",
-    )
-    try:
-        with os.fdopen(fd, "w") as fp:
-            json.dump(document, fp)
-            fp.flush()
-            os.fsync(fp.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
+    write_atomic(path, lambda fp: json.dump(document, fp))
 
 
 def load_checkpoint(path: str, fingerprint: str) -> Dict[str, Any]:

@@ -20,15 +20,17 @@ timings differ (tested in ``tests/core/test_crowd_telemetry.py``).
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 import platform
 import subprocess
+import tempfile
 import time
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import IO, Any, Callable, Dict, Optional, Union
 
 from repro.errors import ObservabilityError
 from repro.obs.export import aggregate_spans
@@ -208,18 +210,46 @@ def manifest_path_for(path: Union[str, Path]) -> Path:
     return Path(f"{path}.manifest.json")
 
 
+def write_atomic(path: Union[str, Path], dump: Callable[[IO[str]], None]) -> None:
+    """Write a file all or nothing: ``dump`` fills a temp file, then rename.
+
+    The temp file is private to this call (``mkstemp`` beside the target,
+    so concurrent writers never share one and a stale ``{path}.tmp`` is
+    left alone), synced before the rename, and removed if ``dump`` or the
+    write fails.  Readers see the previous file or the new one, never a
+    torn one.  The file is created with ``mkstemp``'s mode, 0600.
+    """
+    path = os.fspath(path)
+    fd, tmp = tempfile.mkstemp(
+        dir=os.path.dirname(os.path.abspath(path)),
+        prefix=f"{os.path.basename(path)}.",
+        suffix=".tmp",
+    )
+    try:
+        with os.fdopen(fd, "w") as fp:
+            dump(fp)
+            fp.flush()
+            os.fsync(fp.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def write_manifest(
     document: Dict[str, Any], path: Union[str, Path]
 ) -> Path:
-    """Atomically write a validated manifest (write-then-rename)."""
+    """Atomically write a validated manifest (see :func:`write_atomic`)."""
     validate_manifest(document)
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    tmp = target.with_name(target.name + ".tmp")
-    with tmp.open("w") as fp:
+
+    def dump(fp: IO[str]) -> None:
         json.dump(document, fp, indent=2, sort_keys=True)
         fp.write("\n")
-    os.replace(tmp, target)
+
+    write_atomic(target, dump)
     return target
 
 

@@ -20,7 +20,10 @@ The batched step mirrors the serial ``World.run_for`` / ``Device.step`` /
 * every per-unit random draw (OS steal resample, background-noise sample,
   sensor read) comes from that unit's own generator in the same order the
   serial path would draw it — so stochastic trajectories are reproducible
-  against the serial engine, not merely statistically similar;
+  against the serial engine, not merely statistically similar.  Draws are
+  read ahead a block per unit at a time (:class:`_NormalBlocks`), and
+  :meth:`BatchedWorld.finalize` hands every generator back exactly where
+  the serial path leaves it;
 * device-local time is *accumulated* (``now += dt``) while clock time is
   *derived* (``steps * dt``), matching ``Device._now_s`` vs ``SimClock``
   exactly;
@@ -56,6 +59,86 @@ from repro.sim.engine import TRACE_CHANNELS
 from repro.sim.events import EventLog
 from repro.sim.trace import Trace
 from repro.soc.throttling import MitigationState
+
+#: Standard normals read ahead per unit per stream (see _NormalBlocks).
+_BLOCK_LENGTH = 256
+
+
+class _NormalBlocks:
+    """Each unit's upcoming standard normals, drawn a block at a time.
+
+    Row ``i`` holds the next block of unit ``i``'s own generator, read
+    with one ``standard_normal(K)`` call — which consumes the stream
+    exactly as ``K`` scalar ``normal`` calls do — and a per-unit cursor
+    marks the next unused draw.  ``normal(loc, scale)`` is then
+    ``loc + scale * z``, the same two IEEE operations numpy's scalar
+    sampler performs, so every value is bit-identical to the per-call
+    draw and every unit keeps its serial draw order.
+
+    The generators run ahead of what was consumed until :meth:`hand_back`
+    rewinds each one to the start of its current block and redraws
+    exactly the values taken, leaving it where the serial path would.
+    Units whose generator is ``None`` must never be taken from.
+    """
+
+    __slots__ = (
+        "_rngs", "_length", "_block", "_rows", "_cursor", "_cursor_max", "_starts",
+    )
+
+    def __init__(self, rngs: Sequence[Optional[np.random.Generator]]) -> None:
+        self._rngs = list(rngs)
+        count = len(self._rngs)
+        self._length = _BLOCK_LENGTH
+        self._block = np.empty((count, self._length))
+        self._rows = np.arange(count)
+        # Every row starts exhausted, so the first take fills it.
+        self._cursor = np.full(count, self._length, dtype=np.int64)
+        # Upper bound on every cursor: while it is below the block length
+        # no row is exhausted, so the per-step all-unit take skips the
+        # vector scan (which would cost more than the take itself at
+        # small cohort sizes).
+        self._cursor_max = self._length
+        #: Generator state at the start of each unit's current block.
+        self._starts: List[Optional[dict]] = [None] * count
+
+    def _refill_exhausted(self, rows: np.ndarray) -> None:
+        for unit in rows[self._cursor[rows] >= self._length]:
+            rng = self._rngs[unit]
+            self._starts[unit] = rng.bit_generator.state
+            self._block[unit] = rng.standard_normal(self._length)
+            self._cursor[unit] = 0
+
+    def take_all(self) -> np.ndarray:
+        """Every unit's next standard normal."""
+        cursor = self._cursor
+        if self._cursor_max >= self._length:
+            self._refill_exhausted(self._rows)
+            self._cursor_max = int(cursor.max())
+        z = self._block[self._rows, cursor]
+        cursor += 1
+        self._cursor_max += 1
+        return z
+
+    def take(self, rows: np.ndarray) -> np.ndarray:
+        """The next standard normal of each unit in ``rows`` (indices)."""
+        self._refill_exhausted(rows)
+        at = self._cursor[rows]
+        self._cursor[rows] = at + 1
+        if rows.size:
+            self._cursor_max = max(self._cursor_max, int(at.max()) + 1)
+        return self._block[rows, at]
+
+    def hand_back(self) -> None:
+        """Leave each generator exactly where its consumed draws end."""
+        for unit, start in enumerate(self._starts):
+            if start is None:
+                continue
+            rng = self._rngs[unit]
+            rng.bit_generator.state = start
+            rng.standard_normal(int(self._cursor[unit]))
+            self._starts[unit] = None
+        self._cursor.fill(self._length)
+        self._cursor_max = self._length
 
 
 class _ClusterBatch:
@@ -267,9 +350,11 @@ class _CohortWorld:
         self._steal_interval = os_ref.steal_interval_s
         self._steal_frac = np.array([dev.os._steal_frac for dev in devices])
         self._steal_until = np.array([dev.os._steal_until_s for dev in devices])
-        self._os_rng = [dev.os.rng for dev in devices]
-        # The serial OsBehavior draws nothing when its terms are disabled;
-        # matching the gates keeps per-unit RNG streams aligned draw-for-draw.
+        # Steal resamples and background noise share each unit's OS stream,
+        # and so its block cursor.  The serial OsBehavior draws nothing
+        # when its terms are disabled; matching the gates keeps per-unit
+        # RNG streams aligned draw-for-draw.
+        self._os_draws = _NormalBlocks([dev.os.rng for dev in devices])
         self._steal_enabled = os_ref.rng is not None and not (
             self._steal_sigma == 0 and self._steal_mean == 0
         )
@@ -296,7 +381,14 @@ class _CohortWorld:
         self._sensor_quantum = sensor.quantization_c
         self._sensor_sigma = sensor.noise_sigma_c
         self._sensor_offset = sensor.offset_c
-        self._sensor_rng = [dev.sensor.rng for dev in devices]
+        self._sensor_draws = _NormalBlocks([dev.sensor.rng for dev in devices])
+        # Per-unit gate of the serial TemperatureSensor's noise term.
+        self._sensor_noisy = np.array(
+            [
+                self._sensor_sigma > 0 and dev.sensor.rng is not None
+                for dev in devices
+            ]
+        )
 
         self._awake_idle = spec.rails.awake_idle_w
         self._asleep_w = spec.rails.asleep_w
@@ -415,7 +507,6 @@ class _CohortWorld:
         else:
             self._room_ambient = room.astype(float).copy()
         self._noise_const = np.full(count, max(0.0, self._bg_power))
-        self._os_normal = [rng.normal if rng is not None else None for rng in self._os_rng]
 
         # -- batch-global benchmark-app state --------------------------------
         self._load_active = False
@@ -627,10 +718,10 @@ class _CohortWorld:
         elapsed = np.zeros(count)
         cohort = count
         while True:
-            for i in range(count):
-                if active[i] and self._read_sensor(i) <= targets_c[i]:
-                    elapsed[i] = self._clock_steps[i] * dt - started[i]
-                    active[i] = False
+            polled = np.flatnonzero(active)
+            done = polled[self._read_sensors(polled) <= targets_c[polled]]
+            elapsed[done] = self._clock_steps[done] * dt - started[done]
+            active[done] = False
             remaining = int(active.sum())
             if remaining == 0:
                 return elapsed
@@ -661,12 +752,12 @@ class _CohortWorld:
 
     def read_sensors(self) -> np.ndarray:
         """Poll every unit's CPU temperature sensor, one draw per unit."""
-        return np.array(
-            [self._read_sensor(i) for i in range(self._count)]
-        )
+        return self._read_sensors(self._rows)
 
     def finalize(self) -> None:
         """Write the batched state back into the per-unit Device objects."""
+        self._os_draws.hand_back()
+        self._sensor_draws.hand_back()
         for i, dev in enumerate(self.devices):
             for node in range(self._node_count):
                 dev.thermal.set_temperature_at(node, float(self._temps[i, node]))
@@ -735,14 +826,18 @@ class _CohortWorld:
     def _online_totals(self) -> np.ndarray:
         return self._online_big + self._other_cores
 
-    def _read_sensor(self, unit: int) -> float:
-        """One unit's CPU sensor read — the serial TemperatureSensor, inline."""
-        value = float(self._temps[unit, self._idx_cpu]) + self._sensor_offset
-        rng = self._sensor_rng[unit]
-        if self._sensor_sigma > 0 and rng is not None:
-            value += float(rng.normal(0.0, self._sensor_sigma))
-        if self._sensor_quantum > 0:
-            value = round(value / self._sensor_quantum) * self._sensor_quantum
+    def _read_sensors(self, units: np.ndarray) -> np.ndarray:
+        """Vectorized serial TemperatureSensor reads of ``units``' CPU nodes."""
+        value = self._temps[units, self._idx_cpu] + self._sensor_offset
+        noisy = self._sensor_noisy[units]
+        if noisy.any():
+            draws = self._sensor_draws.take(units[noisy])
+            value[noisy] += self._sensor_sigma * draws
+        quantum = self._sensor_quantum
+        if quantum > 0:
+            # np.rint rounds half to even like Python's round; adding 0.0
+            # turns a -0.0 into the +0.0 that round()'s int 0 would give.
+            value = (np.rint(value / quantum) + 0.0) * quantum
         return value
 
     # -- battery bank -------------------------------------------------------
@@ -1004,28 +1099,28 @@ class _CohortWorld:
 
         # 5. OS: cycle steal (piecewise-constant, resampled per interval)
         # then residual background noise — one draw per unit per step, in
-        # the serial order, from each unit's own stream.
+        # the serial order, from each unit's own stream (its block row).
         if self._steal_enabled:
             if now_max >= self._steal_next_min:
                 due = now >= self._steal_until
                 if due.any():
-                    for i in np.flatnonzero(due):
-                        sampled = float(
-                            self._os_rng[i].normal(
-                                self._steal_mean, self._steal_sigma
-                            )
-                        )
-                        self._steal_frac[i] = min(max(sampled, 0.0), self._steal_max)
-                        self._steal_until[i] = now[i] + self._steal_interval
+                    units = np.flatnonzero(due)
+                    sampled = (
+                        self._steal_mean
+                        + self._steal_sigma * self._os_draws.take(units)
+                    )
+                    self._steal_frac[units] = np.minimum(
+                        np.maximum(sampled, 0.0), self._steal_max
+                    )
+                    self._steal_until[units] = now[units] + self._steal_interval
                 self._steal_next_min = float(self._steal_until.min())
             ops *= 1.0 - self._steal_frac
         if self._noise_enabled:
             noise = self._scr_noise
-            bg_power = self._bg_power
-            bg_sigma = self._bg_sigma
-            draws = self._os_normal
-            for i in range(count):
-                noise[i] = bg_power + draws[i](0.0, bg_sigma)
+            # normal(0, σ) is 0.0 + σ·z; that 0.0 only flips the sign of
+            # a zero draw, which adding bg_power cancels.
+            np.multiply(self._bg_sigma, self._os_draws.take_all(), out=noise)
+            noise += self._bg_power
             np.maximum(noise, 0.0, out=noise)
         else:
             noise = self._noise_const

@@ -103,6 +103,33 @@ class TestRoundTrip:
         write_manifest(sample_manifest(), tmp_path / "m.json")
         assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
 
+    def test_failed_dump_keeps_previous_manifest_and_no_temp_file(
+        self, tmp_path, monkeypatch
+    ):
+        path = write_manifest(sample_manifest(), tmp_path / "m.json")
+        before = path.read_bytes()
+
+        def failing_dump(document, fp, **kwargs):
+            fp.write('{"format": ')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", failing_dump)
+        with pytest.raises(OSError, match="disk full"):
+            write_manifest(sample_manifest(root_seed=8), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
+
+    def test_stale_fixed_temp_file_is_not_clobbered(self, tmp_path):
+        stale = tmp_path / "m.json.tmp"
+        stale.write_text("another writer's half-written manifest")
+        manifest = sample_manifest()
+        path = write_manifest(manifest, tmp_path / "m.json")
+        assert stale.read_text() == "another writer's half-written manifest"
+        assert read_manifest(path) == manifest
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "m.json", "m.json.tmp",
+        ]
+
     def test_write_refuses_invalid_document(self, tmp_path):
         with pytest.raises(ObservabilityError):
             write_manifest({"format": "bogus"}, tmp_path / "m.json")

@@ -17,6 +17,7 @@ from repro.instruments.thermabox import (
     Thermabox,
     ThermaboxConfig,
 )
+from repro.sim import batch as batch_module
 from repro.sim.batch import BatchedWorld
 from repro.sim.engine import World
 from repro.thermal.ambient import ConstantAmbient
@@ -197,6 +198,102 @@ class TestBatchedMatchesSerial:
                 (e.time_s, e.kind, e.detail) for e in batched.event_logs[i]
             ]
             assert events_s == events_b
+
+
+class TestRandomStreamHandBack:
+    """``finalize`` leaves every generator where N serial worlds would.
+
+    The batched engine reads each unit's draws ahead in blocks; after the
+    hand-back, the OS and sensor streams must sit exactly where the serial
+    run left them, so anything drawing from the devices afterwards sees
+    the same values.
+    """
+
+    @pytest.mark.parametrize("use_box", [False, True])
+    def test_streams_end_where_serial_streams_end(self, use_box):
+        count = 3
+        serial_devices = build_fleet(count)
+        batch_devices = build_fleet(count)
+        run_serial(serial_devices, use_box)
+        batched, _ = run_batched(batch_devices, use_box)
+        # Every unit's OS stream crosses at least one block refill.
+        assert batched.looped_steps.min() > batch_module._BLOCK_LENGTH
+        for ds, db in zip(serial_devices, batch_devices):
+            for serial_rng, batch_rng in (
+                (ds.os.rng, db.os.rng),
+                (ds.sensor.rng, db.sensor.rng),
+            ):
+                assert (
+                    batch_rng.bit_generator.state
+                    == serial_rng.bit_generator.state
+                )
+                assert batch_rng.normal() == serial_rng.normal()
+
+
+class TestNormalBlocks:
+    """The block reader replays per-call ``Generator.normal`` exactly."""
+
+    LOC, SCALE = 0.015, 0.004
+
+    @staticmethod
+    def streams(seeds):
+        return [np.random.default_rng(seed) for seed in seeds]
+
+    def test_mixed_takes_match_per_call_draws_across_refills(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(batch_module, "_BLOCK_LENGTH", 3)
+        seeds = (11, 12, 13, 14)
+        streams = self.streams(seeds)
+        reader = batch_module._NormalBlocks(streams)
+        reference = self.streams(seeds)
+        loc, scale = self.LOC, self.SCALE
+
+        def expect(unit):
+            return reference[unit].normal(loc, scale)
+
+        everyone = np.arange(len(seeds))
+        # Noise-style all-unit takes, steal-style single-unit takes and
+        # sensor-style masked-row takes, interleaved so cursors drift
+        # apart and rows refill at different moments.
+        schedule = [
+            None, [1], [0, 2], None, [1], [1], None, [3], [1, 2, 3], None,
+            [0], None, None, [], [3], None,
+        ]
+        for rows in schedule:
+            if rows is None:
+                got = loc + scale * reader.take_all()
+                rows = everyone
+            else:
+                rows = np.array(rows, dtype=np.int64)
+                got = loc + scale * reader.take(rows)
+            want = [expect(unit) for unit in rows]
+            np.testing.assert_array_equal(got, np.asarray(want))
+
+        reader.hand_back()
+        for rng, ref in zip(streams, reference):
+            assert rng.bit_generator.state == ref.bit_generator.state
+        # After a hand-back the reader starts afresh from the rewound state.
+        np.testing.assert_array_equal(
+            loc + scale * reader.take_all(), [expect(unit) for unit in everyone]
+        )
+
+    def test_hand_back_without_draws_is_a_no_op(self):
+        streams = self.streams((21, 22))
+        before = [rng.bit_generator.state for rng in streams]
+        batch_module._NormalBlocks(streams).hand_back()
+        assert [rng.bit_generator.state for rng in streams] == before
+
+    def test_unit_without_a_stream_is_never_drawn(self):
+        streams = self.streams((31, 32))
+        reader = batch_module._NormalBlocks([streams[0], None, streams[1]])
+        reference = self.streams((31, 32))
+        got = reader.take(np.array([0, 2]))
+        want = [reference[0].standard_normal(), reference[1].standard_normal()]
+        np.testing.assert_array_equal(got, want)
+        reader.hand_back()
+        for rng, ref in zip(streams, reference):
+            assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestBatchedValidation:
