@@ -259,6 +259,6 @@ def run_batch_iteration(
     publish_engine_tallies(
         registry, int(world.looped_steps.sum()), int(world.fast_forward_steps.sum()),
         int(world.fast_forward_windows.sum()), float(world.clock_now.sum()),
-        world.event_logs, world.count,
+        world.event_count, world.count,
     )
     return cooldown_s, energy_j, completed

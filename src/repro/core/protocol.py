@@ -32,7 +32,6 @@ from repro.errors import ProtocolError
 from repro.instruments.thermabox import Thermabox
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.sim.engine import World
-from repro.sim.events import EventLog
 from repro.sim.trace import Trace
 from repro.soc.perf import PI_ITERATION_OPS, iterations_from_ops
 from repro.thermal.ambient import AmbientProfile
@@ -91,13 +90,15 @@ def pin_frequency(target, fixed_freq_mhz: Optional[float]) -> None:
 
 def publish_engine_tallies(
     registry: MetricsRegistry, looped_steps: int, fast_forward_steps: int,
-    fast_forward_windows: int, sim_time_s: float, event_logs: Sequence[EventLog],
-    iterations: int,
+    fast_forward_windows: int, sim_time_s: float,
+    event_count: Callable[[str], int], iterations: int,
 ) -> None:
     """Harvest finished iterations' engine tallies into the registry.
 
     Worlds are fresh per protocol iteration, so the tallies are already
     per-iteration deltas; the batched engine passes its per-unit sums.
+    ``event_count(kind)`` gives the iteration's events of one kind, so
+    it is only consulted when the registry records.
     Every key is published even at zero, so a metrics document has the
     same schema whichever engine, solver or workload ran.
     """
@@ -107,11 +108,9 @@ def publish_engine_tallies(
     registry.counter("engine.fast_forward_steps").add(fast_forward_steps)
     registry.counter("engine.fast_forward_windows").add(fast_forward_windows)
     registry.counter("engine.sim_time_s").add(sim_time_s)
-    registry.counter("engine.throttle_events").add(
-        sum(log.count("throttle-step") for log in event_logs)
-    )
+    registry.counter("engine.throttle_events").add(event_count("throttle-step"))
     registry.counter("engine.core_offline_events").add(
-        sum(log.count("core-offline") for log in event_logs)
+        event_count("core-offline")
     )
     registry.counter("protocol.iterations").add(iterations)
 
@@ -319,6 +318,6 @@ class Accubench:
         publish_engine_tallies(
             registry, world.clock.steps - world.fast_forward_steps,
             world.fast_forward_steps, world.fast_forwards, world.now,
-            (world.events,), 1,
+            world.events.count, 1,
         )
         return cooldown_s, energy_j, ops, duration_s

@@ -57,11 +57,19 @@ from repro.errors import SimulationError
 from repro.instruments.thermabox import BatchedThermabox
 from repro.sim.engine import TRACE_CHANNELS
 from repro.sim.events import EventLog
-from repro.sim.trace import Trace
+from repro.sim.trace import PhaseSpan, Trace
 from repro.soc.throttling import MitigationState
 
 #: Standard normals read ahead per unit per stream (see _NormalBlocks).
 _BLOCK_LENGTH = 256
+
+#: Starting per-unit row capacity of a cohort trace store (doubles as it
+#: fills).
+_TRACE_ROWS = 64
+
+#: Relative headroom under the battery's worst-case deliverable power
+#: below which the exact terminal-voltage solve is skipped.
+_BATTERY_BOUND_MARGIN = 1e-6
 
 
 class _NormalBlocks:
@@ -360,21 +368,20 @@ class _CohortWorld:
         )
         self._noise_enabled = self._bg_sigma > 0 and os_ref.rng is not None
 
-        # Scalar poll-skip bounds.  ``_now_max`` is an upper bound on every
-        # unit's device-local clock: each advance applied to any unit is
-        # also applied to it, and float addition is monotone, so it can
-        # never fall below the true max.  The ``*_next_min`` values are
-        # lower bounds on the matching next-poll arrays — those only ever
-        # grow, and the bound is refreshed whenever the exact vector check
-        # runs.  ``now_max < next_min`` therefore proves no unit is due
-        # with two Python floats, letting quiet steps skip the per-policy
-        # fleet-wide compare-and-any entirely; anything else falls through
-        # to the exact check, so replay is untouched.
-        self._now_max = float(self._now_dev.max())
-        self._stw_next_min = float(self._stw_next.min())
-        self._shd_next_min = float(self._shd_next.min())
-        self._skin_next_min = float(self._skin_next.min())
-        self._steal_next_min = float(self._steal_until.min())
+        # Scalar poll-skip bounds, one per sampled deadline: the smallest
+        # per-unit slack ``min(next - now)`` left after the last exact
+        # check, counted down by ``dt`` on every awake step (which advances
+        # every unit's clock by ``dt``).  While a slack is clearly positive
+        # no unit can be due, so quiet steps skip the fleet-wide
+        # compare-and-any entirely; otherwise the exact vector check runs
+        # and re-measures it, so replay is untouched.  A per-unit slack
+        # keeps working once cooldown exits stagger the unit clocks, where
+        # a max-clock-versus-min-deadline test never skips again.  Zero
+        # means "must check" (see _must_check).
+        self._stw_slack = 0.0
+        self._shd_slack = 0.0
+        self._skin_slack = 0.0
+        self._steal_slack = 0.0
         self._any_offline = bool(self._shd_offline.any())
 
         sensor = reference.sensor
@@ -418,6 +425,20 @@ class _CohortWorld:
                 [soc for soc, _ in bat_spec.ocv_curve]
             )
             self._bat_curve_v = np.array([v for _, v in bat_spec.ocv_curve])
+            # Scalar deliverability bound.  The curve spans SoC 0..1, so
+            # every unit's OCV is at least its lowest anchor, and a load
+            # below min(OCV)² / 4R leaves a positive discriminant in the
+            # terminal-voltage solve.  The relative margin dwarfs the
+            # rounding of the interpolation and of the product, so a step
+            # whose largest load is under the bound cannot fail the exact
+            # check, which then need not run (see _battery_draw_awake).
+            resistance = self._bat_resistance
+            self._bat_safe_w = (
+                float(self._bat_curve_v.min()) ** 2 / (4.0 * resistance)
+                * (1.0 - _BATTERY_BOUND_MARGIN)
+                if resistance > 0.0
+                else np.inf
+            )
             self._bat_soc = np.array(
                 [dev.supply.state_of_charge for dev in devices]
             )
@@ -491,9 +512,10 @@ class _CohortWorld:
         # of state that only moves when a mitigation poll fires or a
         # governor knob changes, so quiet steps replay the cached arrays
         # and recompute only the temperature-dependent leakage.  Worlds
-        # whose voltage moves every step (battery sag cap, RBCPR margin
-        # recovery) never cache.
-        self._gov_cacheable = self._rbcpr is None and not self._battery_mode
+        # whose inputs move every step (a battery's sag against a voltage
+        # throttle, RBCPR margin recovery) never cache; a battery without
+        # a voltage throttle feeds the governor nothing but its steps.
+        self._gov_cacheable = self._rbcpr is None and self._vt_threshold is None
         self._gov_cache: Optional[tuple] = None
         self._leak_temp_slope = reference.soc.spec.process.leak_temp_slope
         self._rows = np.arange(count)
@@ -526,16 +548,6 @@ class _CohortWorld:
         self._apply_governors()
 
         # -- per-iteration world state (see begin_iteration) -----------------
-        self.traces: List[Trace] = []
-        self.event_logs: List[EventLog] = []
-        self._clock_steps = np.zeros(count, dtype=np.int64)
-        self._last_mit = np.zeros(count, dtype=np.int64)
-        self._last_online = self._online_totals()
-        self._last_trace_stamp = np.full(count, -np.inf)
-        self._prev_supply = np.zeros(count)
-        self._ops_total = np.zeros(count)
-        self._ff_windows = np.zeros(count, dtype=np.int64)
-        self._ff_steps = np.zeros(count, dtype=np.int64)
         self._phase: Optional[str] = None
         #: Times the active cohort shrank mid-phase (cooldown divergence).
         self.cohort_splits = 0
@@ -591,16 +603,53 @@ class _CohortWorld:
             return self._chamber.air_temps_c.copy()
         return self._room_ambient.copy()
 
+    @property
+    def traces(self) -> List[Trace]:
+        """Per-unit iteration traces, built from the cohort store on read.
+
+        Each unit's :class:`Trace` adopts its rows of the store (no copy)
+        with its phase spans.  Repeated reads return the same objects
+        until the next recorded sample or phase change.
+        """
+        if self._traces is None:
+            self._traces = self._build_traces()
+        return self._traces
+
+    @property
+    def event_logs(self) -> List[EventLog]:
+        """Per-unit iteration event logs, built from the event store on read."""
+        if self._event_logs is None:
+            self._event_logs = self._build_event_logs()
+        return self._event_logs
+
+    def event_count(self, kind: str) -> int:
+        """Events of one category this iteration, summed over units."""
+        return self._event_counts.get(kind, 0)
+
     def begin_iteration(self) -> None:
         """Reset per-iteration world state (the serial path's fresh World)."""
         count = self._count
-        self.traces = [Trace(TRACE_CHANNELS) for _ in range(count)]
-        self.event_logs = [EventLog() for _ in range(count)]
+        # Cohort-columnar trace store: unit ``i``'s samples are rows
+        # ``[0, _trace_rows[i])`` of ``_trace_store[i]`` (time, then the
+        # TRACE_CHANNELS).  Units leave cooldown at different steps, so
+        # each keeps its own row cursor.  Built traces adopt views of a
+        # store, so every iteration starts a fresh one.
+        self._trace_store = np.empty((count, _TRACE_ROWS, 1 + len(TRACE_CHANNELS)))
+        self._trace_rows = np.zeros(count, dtype=np.int64)
+        #: ``(name or None, per-unit clock time)`` of every phase change.
+        self._phase_marks: List[tuple] = []
+        #: Event store: single-kind ``(kind, units, times, key, values)``
+        #: chunks in logging order (see _log_events).
+        self._event_chunks: List[tuple] = []
+        self._event_counts: "dict[str, int]" = {}
+        self._traces: Optional[List[Trace]] = None
+        self._event_logs: Optional[List[EventLog]] = None
         self._clock_steps = np.zeros(count, dtype=np.int64)
         # Serial World.__init__ starts the event edge-detector at zero steps
         # but at the device's *actual* online count.
         self._last_mit = np.zeros(count, dtype=np.int64)
         self._last_online = self._online_totals()
+        self._edge_pending = bool(self._stw_steps.any())
         self._last_trace_stamp = np.full(count, -np.inf)
         self._prev_supply = np.zeros(count)
         self._ops_total = np.zeros(count)
@@ -665,14 +714,12 @@ class _CohortWorld:
 
     def set_phase(self, name: Optional[str]) -> None:
         """Annotate every unit's trace with a protocol phase from now on."""
-        dt = self._dt
-        for i in range(self._count):
-            now = self._clock_steps[i] * dt
-            if self._phase is not None:
-                self.traces[i].end_phase(now)
+        if self._phase is not None or name is not None:
+            now = self._clock_steps * self._dt
+            self._phase_marks.append((name, now))
+            self._traces = None
             if name is not None:
-                self.traces[i].begin_phase(name, now)
-                self.event_logs[i].log(now, "phase", name=name)
+                self._log_events("phase", None, now, "name", name)
         self._phase = name
 
     def close(self) -> None:
@@ -847,7 +894,8 @@ class _CohortWorld:
         xs = self._bat_curve_soc
         ys = self._bat_curve_v
         hi = np.searchsorted(xs, soc, side="left")
-        np.clip(hi, 1, xs.size - 1, out=hi)
+        np.maximum(hi, 1, out=hi)
+        np.minimum(hi, xs.size - 1, out=hi)
         lo = hi - 1
         frac = (soc - xs[lo]) / (xs[hi] - xs[lo])
         return ys[lo] + frac * (ys[hi] - ys[lo])
@@ -879,7 +927,8 @@ class _CohortWorld:
         soc = self._bat_soc
         if (soc <= 0.0).any():
             raise SimulationError("battery is empty")
-        self._battery_terminal_v(supply)  # deliverability check
+        if supply.max() >= self._bat_safe_w:
+            self._battery_terminal_v(supply)  # exact deliverability check
         self._bat_last_load = supply.copy()
         self._energy_total += supply * dt
         np.maximum(
@@ -901,24 +950,49 @@ class _CohortWorld:
         )
 
     @staticmethod
-    def _poll_policy(die, now, state, next_poll, interval, hot_t, cold_t, cap):
+    def _must_check(slack: float, dt: float) -> bool:
+        """Whether a deadline's slack no longer proves no unit is due.
+
+        Half a step of headroom is far above the rounding the slack and
+        the unit clocks accumulate between exact checks.
+        """
+        return slack <= 0.5 * dt
+
+    @staticmethod
+    def _poll_policy(die, now, state, next_poll, interval, hot_t, cold_t, cap, dt):
         """Masked replay of the serial sampled-mitigation ``while`` loop.
 
-        Returns whether any unit's poll fired — when none did, mitigation
-        state cannot have changed, which lets the caller skip edge checks.
+        Updates ``state`` and ``next_poll`` in place.  Returns whether any
+        unit's poll fired, whether any unit's mitigation state moved (when
+        none did, the governor block has nothing new to see) and the
+        policy's slack for the next step.
         """
         due = now >= next_poll
-        if not due.any():
-            return False
-        while True:
-            next_poll[due] += interval
-            hot = due & (die >= hot_t)
-            cold = due & (die <= cold_t)
-            state[hot] = np.minimum(state[hot] + 1, cap)
-            state[cold] = np.maximum(state[cold] - 1, 0)
-            due = now >= next_poll
-            if not due.any():
-                return True
+        fired = bool(due.any())
+        moved = False
+        if fired:
+            # No unit at the hot threshold cannot deepen, and a policy with
+            # every unit at step zero cannot clear: the scalar tests skip
+            # the masked updates that would change nothing.
+            can_deepen = die.max() >= hot_t
+            while True:
+                np.add(next_poll, interval, out=next_poll, where=due)
+                if can_deepen:
+                    deeper = due & (die >= hot_t)
+                    deeper &= state < cap
+                    if deeper.any():
+                        state += deeper
+                        moved = True
+                if state.any():
+                    lighter = due & (die <= cold_t)
+                    lighter &= state > 0
+                    if lighter.any():
+                        state -= lighter
+                        moved = True
+                due = now >= next_poll
+                if not due.any():
+                    break
+        return fired, moved, float((next_poll - now).min()) - dt
 
     def _step_awake(self) -> None:
         """One lock-step awake engine step for every unit."""
@@ -942,36 +1016,45 @@ class _CohortWorld:
         # 2. Mitigation polls: skin surface estimate first (the serial
         # Device.step updates it before Soc.step), then the die-temperature
         # stepwise loop and the optional hard-limit hotplug monitor.  Each
-        # policy is guarded by its scalar skip bound — when ``now_max``
-        # has not reached the policy's next-poll minimum, no unit can be
-        # due and the vector check (and its state changes) cannot happen.
-        now_max = self._now_max
-        if self._has_skin and now_max >= self._skin_next_min:
-            case_pre = temps[:, self._idx_case]
-            surface = case_pre - (case_pre - ambient) * self._skin_contact
-            if self._poll_policy(
-                surface, now, self._skin_steps, self._skin_next,
-                self._skin_interval, self._skin_hot, self._skin_cold,
-                self._skin_max,
-            ):
-                self._gov_cache = None
-            self._skin_next_min = float(self._skin_next.min())
-        if now_max >= self._stw_next_min:
-            polled = self._poll_policy(
+        # policy is guarded by its slack (see __init__): while it proves
+        # no unit is due, the vector check (and its state changes) cannot
+        # happen and the slack just counts down one step.
+        must_check = self._must_check
+        if self._has_skin:
+            if must_check(self._skin_slack, dt):
+                case_pre = temps[:, self._idx_case]
+                surface = case_pre - (case_pre - ambient) * self._skin_contact
+                _, moved, self._skin_slack = self._poll_policy(
+                    surface, now, self._skin_steps, self._skin_next,
+                    self._skin_interval, self._skin_hot, self._skin_cold,
+                    self._skin_max, dt,
+                )
+                if moved:
+                    self._gov_cache = None
+            else:
+                self._skin_slack -= dt
+        if must_check(self._stw_slack, dt):
+            fired, polled, self._stw_slack = self._poll_policy(
                 die, now, self._stw_steps, self._stw_next,
                 self._stw_interval, self._stw_hot, self._stw_cold, self._stw_max,
+                dt,
             )
-            self._stw_next_min = float(self._stw_next.min())
         else:
-            polled = False
-        if self._has_shutdown and now_max >= self._shd_next_min:
-            if self._poll_policy(
-                die, now, self._shd_offline, self._shd_next,
-                self._shd_interval, self._shd_hot, self._shd_cold, self._shd_max,
-            ):
-                polled = True
-                self._any_offline = bool(self._shd_offline.any())
-            self._shd_next_min = float(self._shd_next.min())
+            fired = polled = False
+            self._stw_slack -= dt
+        if self._has_shutdown:
+            if must_check(self._shd_slack, dt):
+                shd_fired, moved, self._shd_slack = self._poll_policy(
+                    die, now, self._shd_offline, self._shd_next,
+                    self._shd_interval, self._shd_hot, self._shd_cold,
+                    self._shd_max, dt,
+                )
+                fired = fired or shd_fired
+                if moved:
+                    polled = True
+                    self._any_offline = bool(self._shd_offline.any())
+            else:
+                self._shd_slack -= dt
         if polled:
             self._gov_cache = None
         mit_steps = self._stw_steps
@@ -1101,7 +1184,7 @@ class _CohortWorld:
         # then residual background noise — one draw per unit per step, in
         # the serial order, from each unit's own stream (its block row).
         if self._steal_enabled:
-            if now_max >= self._steal_next_min:
+            if must_check(self._steal_slack, dt):
                 due = now >= self._steal_until
                 if due.any():
                     units = np.flatnonzero(due)
@@ -1113,7 +1196,9 @@ class _CohortWorld:
                         np.maximum(sampled, 0.0), self._steal_max
                     )
                     self._steal_until[units] = now[units] + self._steal_interval
-                self._steal_next_min = float(self._steal_until.min())
+                self._steal_slack = float((self._steal_until - now).min()) - dt
+            else:
+                self._steal_slack -= dt
             ops *= 1.0 - self._steal_frac
         if self._noise_enabled:
             noise = self._scr_noise
@@ -1144,26 +1229,20 @@ class _CohortWorld:
         power[:, self._idx_pkg] = supply - soc_power
         self._propagator.advance_batch(temps, power, dt)
         self._now_dev = now + dt
-        self._now_max = now_max + dt
         self._ops_total += ops
 
         # 7. Events, decimated trace, tick.  Mitigation and hotplug state
-        # only move when a policy poll fired, so the edge detectors (and the
-        # clock-time materialisation they need) are skipped on quiet steps.
-        clock_now = None
-        if polled:
-            online_total = self._online_totals()
-            if (mit_steps != self._last_mit).any() or (
-                online_total != self._last_online
-            ).any():
-                clock_now = self._clock_steps * dt
-                self._record_events(clock_now, mit_steps, online_total)
+        # only move when a policy poll moves them, so the edge detectors are
+        # skipped on other steps — except that an iteration starting with
+        # steps already set has an edge pending (its detector starts at
+        # zero), which the first fired poll logs.
+        if polled or (fired and self._edge_pending):
+            self._record_events(mit_steps)
         rec_mask = self._clock_steps % self._decimation == 0
         if rec_mask.any():
-            if clock_now is None:
-                clock_now = self._clock_steps * dt
             self._record_traces(
-                np.flatnonzero(rec_mask), clock_now, ambient, supply, soc_power, 0.0
+                np.flatnonzero(rec_mask), self._clock_steps * dt, ambient,
+                supply, soc_power, 0.0,
             )
         self._clock_steps += 1
         self._prev_supply = supply
@@ -1211,9 +1290,10 @@ class _CohortWorld:
         self._propagator.advance_batch(sub, power, duration)
         temps[active] = sub
         self._now_dev[active] += duration
-        # Upper-bound update: the true max may be inactive and not advance,
-        # in which case the bound merely loosens (safe direction).
-        self._now_max += duration
+        # Only the active units' clocks moved, and by a whole window, so
+        # every poll slack is stale: the next awake step checks exactly.
+        self._stw_slack = self._shd_slack = 0.0
+        self._skin_slack = self._steal_slack = 0.0
         self._clock_steps[active] += steps
         self._ff_windows[active] += 1
         self._ff_steps[active] += steps
@@ -1238,21 +1318,44 @@ class _CohortWorld:
             np.zeros(self._count), 1.0,
         )
 
-    def _record_events(
-        self, clock_now: np.ndarray, mit_steps: np.ndarray, online: np.ndarray
-    ) -> None:
-        for i in np.flatnonzero(mit_steps != self._last_mit):
-            kind = (
-                "throttle-step"
-                if mit_steps[i] > self._last_mit[i]
-                else "throttle-clear"
-            )
-            self.event_logs[i].log(float(clock_now[i]), kind, steps=int(mit_steps[i]))
-            self._last_mit[i] = mit_steps[i]
-        for i in np.flatnonzero(online != self._last_online):
-            kind = "core-offline" if online[i] < self._last_online[i] else "core-online"
-            self.event_logs[i].log(float(clock_now[i]), kind, online=int(online[i]))
-            self._last_online[i] = online[i]
+    def _record_events(self, mit_steps: np.ndarray) -> None:
+        """Log every unit's mitigation-step and online-core edges."""
+        online = self._online_totals()
+        stepped = np.flatnonzero(mit_steps != self._last_mit)
+        changed = np.flatnonzero(online != self._last_online)
+        self._edge_pending = False
+        if not (stepped.size or changed.size):
+            return
+        clock_now = self._clock_steps * self._dt
+        # One chunk per event kind.  A unit logs at most one mitigation
+        # and one hotplug edge per step, in that order, so splitting by
+        # kind keeps every unit's own event order.
+        if stepped.size:
+            steps = mit_steps[stepped]
+            deeper = steps > self._last_mit[stepped]
+            for kind, pick in (("throttle-step", deeper), ("throttle-clear", ~deeper)):
+                units = stepped[pick]
+                self._log_events(kind, units, clock_now[units], "steps", steps[pick])
+            self._last_mit[stepped] = steps
+        if changed.size:
+            count = online[changed]
+            fewer = count < self._last_online[changed]
+            for kind, pick in (("core-offline", fewer), ("core-online", ~fewer)):
+                units = changed[pick]
+                self._log_events(kind, units, clock_now[units], "online", count[pick])
+            self._last_online[changed] = count
+
+    def _log_events(self, kind, units, times, key, values) -> None:
+        """Append one single-kind chunk to the event store.
+
+        ``units`` of ``None`` means one event per unit with the shared
+        detail ``values``; otherwise ``values`` aligns with ``units``.
+        """
+        size = self._count if units is None else units.size
+        if size:
+            self._event_chunks.append((kind, units, times, key, values))
+            self._event_counts[kind] = self._event_counts.get(kind, 0) + size
+            self._event_logs = None
 
     def _record_traces(
         self,
@@ -1263,29 +1366,77 @@ class _CohortWorld:
         soc_power: np.ndarray,
         asleep: float,
     ) -> None:
-        temps = self._temps
-        data = np.empty((units.size, 9))
-        data[:, 0] = temps[units, self._idx_cpu]
-        data[:, 1] = temps[units, self._idx_case]
-        data[:, 2] = ambient[units]
-        data[:, 3] = supply[units]
-        data[:, 4] = soc_power[units]
-        data[:, 5] = self._clusters[0].freq[units]
-        data[:, 6] = self._online_totals()[units]
-        data[:, 7] = self._stw_steps[units]
-        data[:, 8] = asleep
+        """Write one sample per unit in ``units`` into the trace store."""
         times = clock_now[units]
+        fresh = times > self._last_trace_stamp[units]
         if self._invariants is not None:
-            # Same-stamp re-records overwrite the previous row (see
-            # Trace.append), so only strictly advancing stamps reach the
-            # monotone-time checker — mirroring what the serial checker
-            # sees, where an overwrite never grows the trace.
-            fresh = times > self._last_trace_stamp[units]
+            # Same-stamp re-records overwrite the previous row (as
+            # Trace.append does), so only strictly advancing stamps reach
+            # the monotone-time checker — mirroring what the serial
+            # checker sees, where an overwrite never grows the trace.
             self._invariants.observe_trace(units[fresh], times[fresh])
         self._last_trace_stamp[units] = times
-        traces = self.traces
-        for j, i in enumerate(units):
-            traces[i].append(times[j], data[j])
+        # A fresh stamp takes the unit's next row; a repeated one (a macro
+        # window's end sample met by the next decimated step) overwrites
+        # the unit's last row.
+        rows = self._trace_rows[units] + fresh
+        self._trace_rows[units] = rows
+        rows -= 1
+        store = self._trace_store
+        if self._traces is not None:
+            # Built traces are views of the store: leave them as they were.
+            store = self._trace_store = store.copy()
+            self._traces = None
+        if rows.max() >= store.shape[1]:
+            grown = np.empty((store.shape[0], 2 * store.shape[1], store.shape[2]))
+            grown[:, : store.shape[1]] = store
+            store = self._trace_store = grown
+        temps = self._temps
+        data = np.empty((units.size, store.shape[2]))
+        data[:, 0] = times
+        data[:, 1] = temps[units, self._idx_cpu]
+        data[:, 2] = temps[units, self._idx_case]
+        data[:, 3] = ambient[units]
+        data[:, 4] = supply[units]
+        data[:, 5] = soc_power[units]
+        data[:, 6] = self._clusters[0].freq[units]
+        data[:, 7] = self._online_totals()[units]
+        data[:, 8] = self._stw_steps[units]
+        data[:, 9] = asleep
+        store[units, rows] = data
+
+    def _build_traces(self) -> List[Trace]:
+        """One :class:`Trace` per unit over its rows of the store."""
+        traces = []
+        for i in range(self._count):
+            phases = []
+            open_phase = None
+            for name, times in self._phase_marks:
+                now = times[i]
+                if open_phase is not None:
+                    phases.append(PhaseSpan(open_phase[0], open_phase[1], now))
+                open_phase = None if name is None else (name, now)
+            traces.append(
+                Trace.from_samples(
+                    TRACE_CHANNELS,
+                    self._trace_store[i, : self._trace_rows[i]],
+                    phases=phases,
+                    open_phase=open_phase,
+                )
+            )
+        return traces
+
+    def _build_event_logs(self) -> List[EventLog]:
+        """One :class:`EventLog` per unit, replaying the store in order."""
+        logs = [EventLog() for _ in range(self._count)]
+        for kind, units, times, key, values in self._event_chunks:
+            if units is None:
+                for i, log in enumerate(logs):
+                    log.log(times[i], kind, **{key: values})
+                continue
+            for j, i in enumerate(units):
+                logs[i].log(float(times[j]), kind, **{key: int(values[j])})
+        return logs
 
 
 class _ChamberView:
@@ -1483,6 +1634,10 @@ class BatchedWorld:
     def event_logs(self) -> List[EventLog]:
         """Per-unit iteration event logs, fleet order."""
         return self._gather_list(lambda w: w.event_logs)
+
+    def event_count(self, kind: str) -> int:
+        """Events of one category this iteration, summed over units."""
+        return sum(world.event_count(kind) for _, world in self._cohorts)
 
     @property
     def cohort_splits(self) -> int:

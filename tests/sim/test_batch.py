@@ -6,9 +6,19 @@ random draw, throttle poll and clock tick lands exactly where the serial
 as a tolerated ulp-level difference on thermal trajectories.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.check import BATCH_SPEC
+from repro.check.differential import default_crowd_differential_config
+from repro.core.crowd_stream import run_streaming_crowd_study
+from repro.core.protocol import iteration_result
+from repro.device.battery import Battery
+from repro.device.os_model import InputVoltageThrottle
 from repro.device.fleet import synthetic_fleet
 from repro.errors import SimulationError
 from repro.instruments.monsoon import MonsoonPowerMonitor
@@ -19,7 +29,8 @@ from repro.instruments.thermabox import (
 )
 from repro.sim import batch as batch_module
 from repro.sim.batch import BatchedWorld
-from repro.sim.engine import World
+from repro.sim.engine import TRACE_CHANNELS, World
+from repro.sim.trace import Trace
 from repro.thermal.ambient import ConstantAmbient
 
 AMBIENT = 26.0
@@ -40,7 +51,25 @@ def build_fleet(count, model="Nexus 5"):
     return devices
 
 
-def run_serial(devices, use_box):
+def battery_fleet(
+    count, model="Nexus 5", resistance=None, charge=0.8, voltage_throttle=None
+):
+    """Units on their own battery, optionally with a custom resistance or
+    an OS input-voltage throttle."""
+    devices = synthetic_fleet(
+        model, count, thermal_solver="expm", initial_temp_c=AMBIENT
+    )
+    spec = devices[0].spec.battery
+    if resistance is not None:
+        spec = replace(spec, internal_resistance_ohm=resistance)
+    for device in devices:
+        device.connect_supply(Battery(spec, state_of_charge=charge))
+        if voltage_throttle is not None:
+            device.os.voltage_throttle = voltage_throttle
+    return devices
+
+
+def run_serial(devices, use_box, warmup_s=12.0):
     """The reference: one World per unit, full three-phase protocol."""
     finished = []
     for device in devices:
@@ -59,7 +88,7 @@ def run_serial(devices, use_box):
         device.acquire_wakelock()
         device.start_load()
         world.set_phase("warmup")
-        world.run_for(12.0)
+        world.run_for(warmup_s)
         device.stop_load()
         device.release_wakelock()
         world.set_phase("cooldown")
@@ -76,7 +105,7 @@ def run_serial(devices, use_box):
     return finished
 
 
-def run_batched(devices, use_box):
+def run_batched(devices, use_box, warmup_s=12.0):
     chamber = None
     room = AMBIENT
     if use_box:
@@ -94,7 +123,7 @@ def run_batched(devices, use_box):
     world.acquire_wakelock()
     world.start_load()
     world.set_phase("warmup")
-    world.run_for(12.0)
+    world.run_for(warmup_s)
     world.stop_load()
     world.release_wakelock()
     world.set_phase("cooldown")
@@ -364,3 +393,297 @@ class TestBatchedThermabox:
         assert batched.air_temps_c[1] == frozen_air
         assert batched.elapsed_s[1] == frozen_time
         assert batched.elapsed_s[0] == pytest.approx(50 * DT)
+
+
+class TestColumnarTraceStore:
+    """Per-unit traces and event logs built from the cohort store.
+
+    The protocol of :func:`run_batched` exits cooldown at a poll boundary
+    that is also a decimated awake step, so every unit's last macro-window
+    sample is overwritten by the workload's first sample (the same-stamp
+    rule).  After a minute of warmup the 6P units leave cooldown at
+    different polls, so their row cursors differ.
+    """
+
+    @staticmethod
+    def mirror_appends(monkeypatch):
+        """Feed every store write to per-unit ``Trace.append`` as well.
+
+        The reference is the per-unit append path the store replaced:
+        same rows, same order, same-stamp overwrites done by the trace.
+        """
+        cohort = batch_module._CohortWorld
+        record, set_phase = cohort._record_traces, cohort.set_phase
+        mirrors = {}
+        overwrites = []
+
+        def traces_of(world):
+            return mirrors.setdefault(
+                id(world), [Trace(TRACE_CHANNELS) for _ in range(world.count)]
+            )
+
+        def mirrored_record(self, units, clock_now, ambient, supply, soc_power, asleep):
+            online = self._online_totals()
+            for i in units:
+                trace = traces_of(self)[i]
+                if len(trace) and clock_now[i] == trace.times()[-1]:
+                    overwrites.append(i)
+                trace.append(clock_now[i], [
+                    self._temps[i, self._idx_cpu], self._temps[i, self._idx_case],
+                    ambient[i], supply[i], soc_power[i],
+                    self._clusters[0].freq[i], online[i], self._stw_steps[i],
+                    asleep,
+                ])
+            record(self, units, clock_now, ambient, supply, soc_power, asleep)
+
+        def mirrored_phase(self, name):
+            for i, trace in enumerate(traces_of(self)):
+                now = self._clock_steps[i] * self._dt
+                if self._phase is not None:
+                    trace.end_phase(now)
+                if name is not None:
+                    trace.begin_phase(name, now)
+            set_phase(self, name)
+
+        monkeypatch.setattr(cohort, "_record_traces", mirrored_record)
+        monkeypatch.setattr(cohort, "set_phase", mirrored_phase)
+        return mirrors, overwrites
+
+    def test_built_traces_and_events_match_serial_and_append(self, monkeypatch):
+        count, model, warmup = 4, "Nexus 6P", 60.0
+        serial = run_serial(build_fleet(count, model), False, warmup)
+        mirrors, overwrites = self.mirror_appends(monkeypatch)
+        batched, cooldown = run_batched(build_fleet(count, model), False, warmup)
+        reference = mirrors[id(batched._cohorts[0][1])]
+        assert np.unique(cooldown).size > 1, "cooldown exits did not stagger"
+        assert len(set(overwrites)) == count, "no same-stamp overwrite per unit"
+        for i, (world, _) in enumerate(serial):
+            built = batched.traces[i]
+            # Byte-equal to the per-unit append path it replaced.
+            assert built.samples().tobytes() == reference[i].samples().tobytes()
+            assert built.phases == reference[i].phases
+            # Against the serial engine: the time axis, phases, discrete
+            # channels and events are exact; temperatures differ only by
+            # GEMM-vs-GEMV summation order.
+            trace_s = world.trace
+            assert built.times().tobytes() == trace_s.times().tobytes()
+            assert built.phases == trace_s.phases
+            for channel in ("freq", "online_cores", "throttle_steps", "asleep"):
+                assert (
+                    built.column(channel).tobytes()
+                    == trace_s.column(channel).tobytes()
+                ), channel
+            np.testing.assert_allclose(
+                built.samples(), trace_s.samples(), rtol=0, atol=TRACE_ATOL
+            )
+            assert [(e.time_s, e.kind, e.detail) for e in world.events] == [
+                (e.time_s, e.kind, e.detail) for e in batched.event_logs[i]
+            ]
+
+    def test_repeated_reads_return_the_same_objects(self):
+        batched, _ = run_batched(build_fleet(2), use_box=False)
+        traces, logs = batched.traces, batched.event_logs
+        assert all(a is b for a, b in zip(traces, batched.traces))
+        assert all(a is b for a, b in zip(logs, batched.event_logs))
+
+    def test_recording_after_a_read_leaves_built_traces_intact(self):
+        # Read mid-iteration, right after a cooldown poll window: the next
+        # awake step re-records that last stamp, which must overwrite the
+        # store's row but not the row the earlier trace already holds.
+        world = BatchedWorld(build_fleet(2), room_temp_c=AMBIENT, dt=DT)
+        world.acquire_wakelock()
+        world.start_load()
+        world.run_for(12.0)
+        world.stop_load()
+        world.release_wakelock()
+        world.run_cooldown(np.full(2, 38.0), 5.0, 2700.0)
+        early = world.traces
+        rows = [trace.samples().copy() for trace in early]
+        assert all(row[-1, -1] == 1.0 for row in rows)  # asleep sample
+        world.acquire_wakelock()
+        world.start_load()
+        world.run_for(1.0)
+        for trace, row, later in zip(early, rows, world.traces):
+            assert trace.samples().tobytes() == row.tobytes()
+            assert later.times()[len(row) - 1] == row[-1, 0]
+            assert later.column("asleep")[len(row) - 1] == 0.0
+
+    def test_crowd_cohort_builds_no_trace_or_event_log(self, monkeypatch):
+        built = []
+        init, adopt = Trace.__init__, Trace.from_samples.__func__
+
+        def counted_init(self, *args, **kwargs):
+            built.append("init")
+            init(self, *args, **kwargs)
+
+        def counted_adopt(cls, *args, **kwargs):
+            built.append("from_samples")
+            return adopt(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Trace, "__init__", counted_init)
+        monkeypatch.setattr(Trace, "from_samples", classmethod(counted_adopt))
+        monkeypatch.setattr(
+            batch_module._CohortWorld, "_build_event_logs",
+            lambda self: built.append("event_logs"),
+        )
+        result = run_streaming_crowd_study(
+            default_crowd_differential_config(user_count=4), cohort_size=4
+        )
+        assert result.users_simulated == 4
+        assert built == []
+
+
+def awake_steps_until_overload(world, steps):
+    """Awake steps completed before the battery refuses the load."""
+    for step in range(steps):
+        try:
+            world.run_for(DT)
+        except SimulationError as error:
+            assert "exceeds what the battery can deliver" in str(error)
+            return step
+    return None
+
+
+def awake_battery_run(devices, steps):
+    """Per-unit serial step counts and the batched one, both loaded."""
+    serial = []
+    for device in devices[0]:
+        world = World(
+            device, room=ConstantAmbient(AMBIENT), dt=DT, trace_decimation=DECIM
+        )
+        device.acquire_wakelock()
+        device.start_load()
+        serial.append(awake_steps_until_overload(world, steps))
+    batched = BatchedWorld(
+        devices[1], room_temp_c=AMBIENT, dt=DT, trace_decimation=DECIM
+    )
+    batched.acquire_wakelock()
+    batched.start_load()
+    return serial, awake_steps_until_overload(batched, steps)
+
+
+class TestBatteryBound:
+    """The scalar deliverability bound never changes what the engine
+    accepts: overloads fail on the serial engine's step, and loads under
+    the bound skip the exact solve and run."""
+
+    STEPS = 80
+
+    def peak_supply_w(self):
+        """Largest supply draw of two loaded units over the test window."""
+        devices = battery_fleet(2)
+        world = BatchedWorld(devices, room_temp_c=AMBIENT, dt=DT, trace_decimation=1)
+        world.acquire_wakelock()
+        world.start_load()
+        world.run_for(self.STEPS * DT)
+        return max(trace.column("power").max() for trace in world.traces)
+
+    def test_overload_fails_on_the_serial_step(self):
+        # Resistance sized so the bound falls inside the loaded window:
+        # the units warm up, leak more and finally ask for more than the
+        # (sagging) battery can deliver.
+        peak = self.peak_supply_w()
+        ocv = battery_fleet(1)[0].supply.spec.ocv_v(0.8)
+        resistance = ocv * ocv / (4.0 * peak * 0.995)
+        serial, batched = awake_battery_run(
+            (battery_fleet(2, resistance=resistance),
+             battery_fleet(2, resistance=resistance)),
+            self.STEPS,
+        )
+        failed = [step for step in serial if step is not None]
+        assert failed and min(failed) > 0
+        assert batched == min(failed)
+
+    def test_load_just_under_the_bound_skips_the_solve_and_runs(
+        self, monkeypatch
+    ):
+        peak = self.peak_supply_w()
+        curve_min = min(v for _, v in battery_fleet(1)[0].supply.spec.ocv_curve)
+        resistance = curve_min * curve_min / (4.0 * peak * 1.001)
+        solves = []
+        solve = batch_module._CohortWorld._battery_terminal_v
+        monkeypatch.setattr(
+            batch_module._CohortWorld, "_battery_terminal_v",
+            lambda self, *a: solves.append(1) or solve(self, *a),
+        )
+        serial, batched = awake_battery_run(
+            (battery_fleet(2, resistance=resistance),
+             battery_fleet(2, resistance=resistance)),
+            self.STEPS,
+        )
+        assert serial == [None, None]
+        assert batched is None
+        assert solves == []
+
+
+@pytest.fixture(scope="module")
+def weak_battery_cohort():
+    """A one-unit battery cohort with a high internal resistance."""
+    devices = battery_fleet(1, resistance=1.5)
+    return batch_module._CohortWorld(devices, room_temp_c=AMBIENT, dt=DT)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    soc=st.floats(min_value=1e-9, max_value=1.0),
+    near=st.sampled_from(["scalar", "exact"]),
+    scale=st.floats(min_value=0.999, max_value=1.001),
+)
+def test_scalar_bound_never_passes_a_rejected_load(
+    weak_battery_cohort, soc, near, scale
+):
+    """Wherever the scalar bound would skip the exact solve, the solve
+    accepts the load; near each unit's own limit it still rejects."""
+    cohort = weak_battery_cohort
+    cohort._bat_soc = np.array([soc])
+    ocv = float(cohort._battery_ocv(cohort._bat_soc)[0])
+    limit = ocv * ocv / (4.0 * cohort._bat_resistance)
+    power = np.array([scale * (cohort._bat_safe_w if near == "scalar" else limit)])
+    if power.max() < cohort._bat_safe_w:
+        cohort._battery_terminal_v(power)  # the skipped check must pass
+    if power[0] > limit * (1 + 1e-9):
+        with pytest.raises(SimulationError):
+            cohort._battery_terminal_v(power)
+
+
+class TestGovernorCacheOnBattery:
+    """The governor replay cache on battery cohorts: on without a
+    voltage throttle (nothing it reads moves with the battery), off with
+    one, and within BATCH_SPEC of the serial engine either way.  The
+    Nexus 5 has no RBCPR, so the voltage throttle alone decides."""
+
+    #: Engages under load: the battery at 80 % opens near 4.05 V and sags.
+    THROTTLE = InputVoltageThrottle(threshold_v=4.0, ceiling_mhz=1190.4)
+
+    @pytest.mark.parametrize("throttle, cached", [(None, True), (THROTTLE, False)])
+    def test_cache_engagement_and_serial_agreement(self, throttle, cached):
+        count = 2
+        serial = run_serial(
+            battery_fleet(count, voltage_throttle=throttle), use_box=False
+        )
+        batched, cooldown_b = run_batched(
+            battery_fleet(count, voltage_throttle=throttle), use_box=False
+        )
+        cohort = batched._cohorts[0][1]
+        assert cohort._gov_cacheable is cached
+        assert (cohort._gov_cache is not None) is cached
+        if throttle is not None:
+            capped = [
+                trace.phase_column("workload", "freq").min()
+                for trace in batched.traces
+            ]
+            assert max(capped) <= throttle.ceiling_mhz
+        for i, (world, cooldown_s) in enumerate(serial):
+            device = world.device
+            results = [
+                iteration_result(
+                    device, "pi", trace, energy, ops, cooldown, 15.0, False
+                )
+                for trace, energy, ops, cooldown in (
+                    (world.trace, device.supply.energy_drawn_j,
+                     world.ops_total, cooldown_s),
+                    (batched.traces[i], float(batched.energy_drawn_j[i]),
+                     float(batched.ops_total[i]), float(cooldown_b[i])),
+                )
+            ]
+            assert BATCH_SPEC.compare_iteration(*results) == []
