@@ -134,22 +134,36 @@ def test_streamed_memory_is_o_cohort():
     )
 
 
+#: Suffixes of the ``{prefix}_*`` keys one scale run records.
+SCALE_RUN_KEYS = (
+    "users",
+    "wall_s",
+    "users_per_sec",
+    "peak_rss_mb",
+    "submissions",
+    "dropped",
+    "filtered_kept",
+    "ranking_quality_filtered",
+)
+
+
 def _record_scale_run(prefix: str, users: int) -> None:
     start = time.perf_counter()
     result = run_streaming_crowd_study(_config(users), cohort_size=COHORT_SIZE)
     wall = time.perf_counter() - start
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    values = (
+        users,
+        round(wall, 1),
+        round(users / wall, 1),
+        round(rss_mb, 1),
+        result.submission_count,
+        sum(result.dropped.values()),
+        result.filtered_count,
+        result.ranking_quality_filtered,
+    )
     _merge_results(
-        {
-            f"{prefix}_users": users,
-            f"{prefix}_wall_s": round(wall, 1),
-            f"{prefix}_users_per_sec": round(users / wall, 1),
-            f"{prefix}_peak_rss_mb": round(rss_mb, 1),
-            f"{prefix}_submissions": result.submission_count,
-            f"{prefix}_dropped": sum(result.dropped.values()),
-            f"{prefix}_filtered_kept": result.filtered_count,
-            f"{prefix}_ranking_quality_filtered": result.ranking_quality_filtered,
-        },
+        {f"{prefix}_{key}": value for key, value in zip(SCALE_RUN_KEYS, values)},
         path=RESULTS_PATH,
     )
     print(
@@ -170,8 +184,11 @@ def test_crowd_million_users():
     # The paper's "1M users ranked" endgame; tens of minutes on one
     # core, so opt-in and purely recorded.
     if not os.environ.get("REPRO_BENCH_CROWD_FULL"):
+        # A skip retracts the last run's figures: they came from another
+        # commit, and the file must not claim both a skip and a result.
         _merge_results(
-            {"crowd_full_skipped_reason": "set REPRO_BENCH_CROWD_FULL=1 to run"},
+            {f"crowd_full_{key}": RETRACT for key in SCALE_RUN_KEYS}
+            | {"crowd_full_skipped_reason": "set REPRO_BENCH_CROWD_FULL=1 to run"},
             path=RESULTS_PATH,
         )
         pytest.skip("10^6-user campaign disabled by default")

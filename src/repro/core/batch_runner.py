@@ -5,10 +5,12 @@ The serial campaign path runs each unit's iteration batch through its own
 whole fleet instead advances in lock-step through
 :class:`repro.sim.batch.BatchedWorld` — mixed device models grouped into
 per-model cohort blocks, one batched propagation and one vectorized power
-evaluation per engine step.  Only the phase machine and the step loop
-are batched: results come from the protocol's own
-:func:`~repro.core.protocol.iteration_result` and tally publishers (within
-the ulp-level budget of ``repro.check``'s ``BATCH_SPEC``), and with
+evaluation per engine step.  Only the step loop is batched: the phases
+run through the protocol's own driver
+(:func:`~repro.core.protocol.run_phases`, the one the serial
+:class:`~repro.core.protocol.Accubench` uses), and results come from its
+:func:`~repro.core.protocol.iteration_result` and tally publishers
+(within the ulp-level budget of ``repro.check``'s ``BATCH_SPEC``).  With
 invariants armed the batched engine's observer judges each unit with the
 same checks as the serial suite.
 
@@ -22,23 +24,20 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
-import numpy as np
-
 from repro.core.config import AccubenchConfig
 from repro.core.experiments import ExperimentSpec
 from repro.core.protocol import (
-    MIN_COOLDOWN_MARGIN_C,
     iteration_result,
     pin_frequency,
     propagator_cache_counts,
-    publish_engine_tallies,
     publish_instrument_tallies,
+    run_phases,
 )
 from repro.core.results import DeviceResult, IterationResult
 from repro.device.phone import Device
 from repro.errors import ConfigurationError
 from repro.instruments.thermabox import BatchedThermabox, ThermaboxConfig
-from repro.obs.metrics import MetricsRegistry, default_registry
+from repro.obs.metrics import default_registry
 from repro.sim.batch import BatchedWorld
 from repro.soc.perf import iterations_from_ops
 
@@ -169,7 +168,7 @@ def run_batch(
         )
         for iteration in range(count):
             cooldown_s, energy_j, completed = run_batch_iteration(
-                world, bench, experiment, registry
+                world, bench, experiment
             )
             looped_total += int(world.looped_steps.sum())
             if registry.enabled:
@@ -209,56 +208,20 @@ def run_batch(
 
 
 def run_batch_iteration(
-    world: BatchedWorld,
-    bench: "AccubenchConfig",
-    experiment: ExperimentSpec,
-    registry: MetricsRegistry,
+    world: BatchedWorld, bench: AccubenchConfig, experiment: ExperimentSpec
 ):
     """One warmup → cooldown → workload pass over an existing batched world.
 
-    The batched mirror of :meth:`Accubench.run_iteration`'s phase machine,
-    shared by the campaign fleet runner above and the streaming crowd
-    engine (:mod:`repro.core.crowd_stream`).  Returns per-unit
+    Resets the world's per-iteration state and pins the experiment's
+    clock, then runs the protocol's own :func:`run_phases`; shared by
+    the campaign fleet runner above and the streaming crowd engine
+    (:mod:`repro.core.crowd_stream`).  Returns per-unit
     ``(cooldown_s, energy_j, completed_ops)`` arrays; traces for the
     iteration are left on ``world.traces``.
     """
-    sim_clock = lambda: float(world.clock_now.max())  # noqa: E731
     world.begin_iteration()
     pin_frequency(world, experiment.fixed_freq_mhz)
-
-    world.acquire_wakelock()
-    world.start_load(bench.utilization, bench.memory_boundedness)
-    world.set_phase("warmup")
-    with registry.span("phase.warmup", clock=sim_clock):
-        world.run_for(bench.warmup_s)
-
-    world.stop_load()
-    world.release_wakelock()
-    world.set_phase("cooldown")
-    targets = np.maximum(
-        bench.cooldown_target_c,
-        world.ambient_now() + MIN_COOLDOWN_MARGIN_C,
-    )
-    with registry.span("phase.cooldown", clock=sim_clock):
-        cooldown_s = world.run_cooldown(
-            targets, bench.cooldown_poll_s, bench.cooldown_timeout_s
-        )
-
-    world.acquire_wakelock()
-    world.start_load(bench.utilization, bench.memory_boundedness)
-    energy_before = world.energy_drawn_j
-    ops_before = world.ops_total
-    world.set_phase("workload")
-    with registry.span("phase.workload", clock=sim_clock):
-        world.run_for(bench.workload_s)
-    energy_j = world.energy_drawn_j - energy_before
-    completed = world.ops_total - ops_before
-    world.stop_load()
-    world.release_wakelock()
-    world.close()
-    publish_engine_tallies(
-        registry, int(world.looped_steps.sum()), int(world.fast_forward_steps.sum()),
-        int(world.fast_forward_windows.sum()), float(world.clock_now.sum()),
-        world.event_count, world.count,
+    cooldown_s, energy_j, completed, _ = run_phases(
+        world, world, bench, lambda w: w.run_for(bench.workload_s)
     )
     return cooldown_s, energy_j, completed

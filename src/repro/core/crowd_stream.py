@@ -210,7 +210,7 @@ def execute_cohort(
                 estimates.append(probe_drop_reason(error))
 
         cooldown_s, energy_j, completed = run_batch_iteration(
-            world, bench, unconstrained(), registry
+            world, bench, unconstrained()
         )
         world.finalize()
 

@@ -14,8 +14,10 @@ One iteration:
 A fixed-*work* variant (:meth:`Accubench.run_fixed_work`) supports the
 paper's Figures 1 and 2, which report energy to complete a set amount of
 work rather than work completed in set time; it shares the conditioning.
-The batched engine (:mod:`repro.core.batch_runner`) builds its results and
-publishes its tallies through the module-level helpers here too.
+
+:func:`run_phases` defines the sequence once, for :class:`Accubench`'s
+serial world and for the batched engine (:mod:`repro.core.batch_runner`),
+which builds its results and publishes its tallies here too.
 """
 
 from __future__ import annotations
@@ -156,6 +158,56 @@ def publish_instrument_tallies(
         )
 
 
+def run_phases(world, load, config: AccubenchConfig, workload, condition=True):
+    """Warmup → cooldown conditioning, then the measured workload.
+
+    The one phase driver for both engines.  ``world`` is a serial
+    :class:`~repro.sim.engine.World` or a
+    :class:`~repro.sim.batch.BatchedWorld`; ``load`` takes the wakelock
+    and the benchmark load (the serial world's device, or the batched
+    world itself).  ``workload(world)`` advances the measured window and
+    its return value comes back as ``window``.  Returns ``(cooldown_s,
+    energy_j, ops, window)`` — per-unit arrays on a batched world —
+    with ``cooldown_s`` zero when ``condition`` is false.
+    """
+    registry = default_registry()
+    sim_clock = lambda: world.now  # noqa: E731
+    cooldown_s = 0.0
+    if condition:
+        load.acquire_wakelock()
+        load.start_load(config.utilization, config.memory_boundedness)
+        world.set_phase("warmup")
+        with registry.span("phase.warmup", clock=sim_clock):
+            world.run_for(config.warmup_s)
+
+        # Suspend, then poll the sensor every few seconds down to target.
+        load.stop_load()
+        load.release_wakelock()
+        world.set_phase("cooldown")
+        targets_c = np.maximum(
+            config.cooldown_target_c, world.ambient_now() + MIN_COOLDOWN_MARGIN_C
+        )
+        with registry.span("phase.cooldown", clock=sim_clock):
+            cooldown_s = world.run_cooldown(
+                targets_c, config.cooldown_poll_s, config.cooldown_timeout_s
+            )
+
+    load.acquire_wakelock()
+    load.start_load(config.utilization, config.memory_boundedness)
+    energy_before = world.energy_drawn_j
+    ops_before = world.ops_total
+    world.set_phase("workload")
+    with registry.span("phase.workload", clock=sim_clock):
+        window = workload(world)
+    energy_j = world.energy_drawn_j - energy_before
+    ops = world.ops_total - ops_before
+    load.stop_load()
+    load.release_wakelock()
+    world.close()
+    publish_engine_tallies(registry, *world.engine_tallies())
+    return cooldown_s, energy_j, ops, window
+
+
 class Accubench:
     """Runs the protocol against one device."""
 
@@ -181,8 +233,8 @@ class Accubench:
         config = self.config
         world = self._new_world(device, room, chamber)
         pin_frequency(device, experiment.fixed_freq_mhz)
-        cooldown_s, energy_j, ops, _ = self._run_phases(
-            world, lambda w: w.run_for(config.workload_s)
+        cooldown_s, energy_j, ops, _ = run_phases(
+            world, device, config, lambda w: w.run_for(config.workload_s)
         )
         return iteration_result(
             device, experiment.name, world.trace, energy_j, iterations_from_ops(ops),
@@ -216,16 +268,16 @@ class Accubench:
         world = self._new_world(device, room, chamber)
         pin_frequency(device, fixed_freq_mhz)
 
-        def workload(w: World) -> None:
+        def workload(w: World) -> float:
             ops_target = w.ops_total + work_iterations * PI_ITERATION_OPS
-            w.run_until(
+            return w.run_until(
                 lambda w: w.ops_total >= ops_target,
                 check_every_s=max(config.dt, 1.0),
                 timeout_s=timeout_s,
             )
 
-        _, energy_j, _, duration_s = self._run_phases(
-            world, workload, condition=not skip_conditioning
+        _, energy_j, _, duration_s = run_phases(
+            world, device, config, workload, condition=not skip_conditioning
         )
         return iteration_result(
             device, f"FIXED-WORK({work_iterations:g})", world.trace, energy_j,
@@ -261,63 +313,3 @@ class Accubench:
 
             world.attach_observer(InvariantSuite())
         return world
-
-    def _run_phases(
-        self, world: World, workload: Callable[[World], None], condition: bool = True
-    ) -> Tuple[float, float, float, float]:
-        """Warmup → cooldown conditioning, then the measured workload.
-
-        ``workload(world)`` advances the measured window under load.
-        Returns ``(cooldown_s, energy_j, ops, duration_s)`` for the pass;
-        ``cooldown_s`` is zero when ``condition`` is false.
-        """
-        config = self.config
-        device = world.device
-        supply = device.supply
-        registry = default_registry()
-        sim_clock = lambda: world.now  # noqa: E731
-        cooldown_s = 0.0
-
-        if condition:
-            # Phase 1: warmup.
-            device.acquire_wakelock()
-            device.start_load(config.utilization, config.memory_boundedness)
-            world.set_phase("warmup")
-            with registry.span("phase.warmup", clock=sim_clock):
-                world.run_for(config.warmup_s)
-
-            # Phase 2: cooldown (suspend; poll the sensor every few seconds).
-            device.stop_load()
-            device.release_wakelock()
-            world.set_phase("cooldown")
-            target_c = max(
-                config.cooldown_target_c, world.ambient_c + MIN_COOLDOWN_MARGIN_C
-            )
-            with registry.span("phase.cooldown", clock=sim_clock):
-                cooldown_s = world.run_until(
-                    lambda w: w.device.read_cpu_temp() <= target_c,
-                    check_every_s=config.cooldown_poll_s,
-                    timeout_s=config.cooldown_timeout_s,
-                )
-
-        # Phase 3: workload (the measured window).
-        device.acquire_wakelock()
-        device.start_load(config.utilization, config.memory_boundedness)
-        energy_before = supply.energy_drawn_j
-        ops_before = world.ops_total
-        started = world.now
-        world.set_phase("workload")
-        with registry.span("phase.workload", clock=sim_clock):
-            workload(world)
-        energy_j = supply.energy_drawn_j - energy_before
-        ops = world.ops_total - ops_before
-        duration_s = world.now - started
-        device.stop_load()
-        device.release_wakelock()
-        world.close()
-        publish_engine_tallies(
-            registry, world.clock.steps - world.fast_forward_steps,
-            world.fast_forward_steps, world.fast_forwards, world.now,
-            world.events.count, 1,
-        )
-        return cooldown_s, energy_j, ops, duration_s

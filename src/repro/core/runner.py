@@ -285,8 +285,9 @@ class CampaignRunner:
     def _resolve_jobs(self, jobs: Optional[int]) -> int:
         """Resolve a per-call override against the config; 0 = all cores.
 
-        The config-supplied default is clamped to the machine's core count
-        — spawning a 4-worker pool on a 1-core box only adds pickling
+        "All cores" are the cores this process may run on (its CPU
+        affinity, narrowed by ``taskset`` or a cpuset); the config-supplied
+        default is clamped to them — spawning a 4-worker pool on a 1-core box only adds pickling
         overhead (and once produced a <1x "speedup" in the recorded
         benchmarks).  An explicit per-call ``jobs`` is honored as given so
         callers (and tests) can force the pool path deliberately.
@@ -295,7 +296,8 @@ class CampaignRunner:
         value = jobs if explicit else self.config.jobs
         if value < 0:
             raise ConfigurationError("jobs must be non-negative (0 = all cores)")
-        cores = os.cpu_count() or 1
+        affinity = getattr(os, "sched_getaffinity", None)
+        cores = len(affinity(0)) if affinity else os.cpu_count() or 1
         if value == 0:
             return cores
         return value if explicit else min(value, cores)

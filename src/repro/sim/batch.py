@@ -747,7 +747,7 @@ class _CohortWorld:
     ) -> np.ndarray:
         """Cooldown every unit to its target; returns per-unit elapsed time.
 
-        The batched mirror of the serial ``run_until(read <= target)`` loop:
+        The batched mirror of the serial ``World.run_cooldown`` loop:
         per unit, the sensor is polled first (its noise draw included), then
         the still-cooling cohort fast-forwards one poll window as a single
         exact propagation.  Units that pass freeze in place until the whole
@@ -1665,14 +1665,19 @@ class BatchedWorld:
         return self._gather(lambda w: w.looped_steps, dtype=np.int64)
 
     @property
-    def fast_forward_steps(self) -> np.ndarray:
-        """Per-unit clock steps covered by macro propagations."""
-        return self._gather(lambda w: w.fast_forward_steps, dtype=np.int64)
+    def now(self) -> float:
+        """The furthest unit clock, seconds."""
+        return float(self.clock_now.max())
 
-    @property
-    def fast_forward_windows(self) -> np.ndarray:
-        """Per-unit macro windows taken this iteration."""
-        return self._gather(lambda w: w.fast_forward_windows, dtype=np.int64)
+    def engine_tallies(self) -> tuple:
+        """:meth:`World.engine_tallies <repro.sim.engine.World.engine_tallies>`,
+        summed over units."""
+        return (
+            int(self.looped_steps.sum()),
+            sum(int(w.fast_forward_steps.sum()) for _, w in self._cohorts),
+            sum(int(w.fast_forward_windows.sum()) for _, w in self._cohorts),
+            float(self.clock_now.sum()), self.event_count, self._count,
+        )
 
     def ambient_now(self) -> np.ndarray:
         """Per-unit ambient the devices currently see, °C."""

@@ -9,8 +9,10 @@
    steps its SoC/thermal/OS state;
 4. the trace records the channels the paper's figures plot.
 
-Callers (the ACCUBENCH protocol) use :meth:`run_for` and :meth:`run_until`
-to express phases, and :meth:`set_phase` to annotate the trace.
+The ACCUBENCH protocol's phase driver (:func:`repro.core.protocol.run_phases`)
+expresses phases with :meth:`run_for` and :meth:`run_cooldown` (a
+:meth:`run_until` on the sensor), and annotates the trace with
+:meth:`set_phase`; it drives a batched world through the same verbs.
 
 ``run_for`` is the simulator's hot loop — a full campaign is millions of
 steps — so it inlines :meth:`step`'s body with every invariant attribute
@@ -118,6 +120,23 @@ class World:
         if self.chamber is not None:
             return self.chamber.air_temp_c
         return self.room.temperature(self.now)
+
+    def ambient_now(self) -> float:
+        """:attr:`ambient_c`, under the batched world's name."""
+        return self.ambient_c
+
+    @property
+    def energy_drawn_j(self) -> float:
+        """The device supply's cumulative metered energy, joules."""
+        return self.device.supply.energy_drawn_j
+
+    def engine_tallies(self) -> tuple:
+        """Looped steps, macro steps and windows, sim time, event counter
+        and unit count: the protocol's ``publish_engine_tallies`` inputs."""
+        return (
+            self.clock.steps - self.fast_forward_steps, self.fast_forward_steps,
+            self.fast_forwards, self.now, self.events.count, 1,
+        )
 
     @property
     def last_report(self) -> Optional[StepReport]:
@@ -278,6 +297,14 @@ class World:
                     self._fast_forward(check_every_s)
                 else:
                     self.run_for(check_every_s)
+
+    def run_cooldown(self, target_c: float, poll_s: float, timeout_s: float) -> float:
+        """:meth:`run_until` the sensor reads ``target_c`` or below, polling
+        every ``poll_s``; returns the elapsed time."""
+        return self.run_until(
+            lambda w: w.device.read_cpu_temp() <= target_c,
+            check_every_s=poll_s, timeout_s=timeout_s,
+        )
 
     def _fast_forward(self, window_s: float) -> None:
         """Advance one sleeping poll window as a single exact macro step."""

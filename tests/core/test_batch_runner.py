@@ -143,12 +143,17 @@ class TestBatchedFleetParity:
         assert BATCH_SPEC.compare_experiment(serial, batched) == []
 
     def test_metrics_schema_matches_serial_keys(self):
-        registry = MetricsRegistry(enabled=True)
-        with use_registry(registry):
-            CampaignRunner(
-                CampaignConfig(accubench=bench(batch=True))
-            ).run_fleet(MODEL, unconstrained(), devices=fleet(4))
-        snapshot = registry.snapshot()
+        # Both engines run the one phase driver, so the same fleet must
+        # publish equal engine tallies and the same phase spans either way.
+        snapshots = {}
+        for batch in (False, True):
+            registry = MetricsRegistry(enabled=True)
+            with use_registry(registry):
+                CampaignRunner(
+                    CampaignConfig(accubench=bench(batch=batch, iterations=2))
+                ).run_fleet(MODEL, unconstrained(), devices=fleet(4), jobs=1)
+            snapshots[batch] = registry.snapshot()
+        serial, snapshot = snapshots[False], snapshots[True]
         for key in (
             "engine.steps",
             "engine.fast_forward_steps",
@@ -162,7 +167,25 @@ class TestBatchedFleetParity:
             "batch.cohort_splits",
         ):
             assert key in snapshot["counters"], key
-        assert snapshot["counters"]["protocol.iterations"] == 4
+        engine_keys = sorted(
+            key for key in serial["counters"] if key.startswith("engine.")
+        )
+        assert engine_keys == sorted(
+            key for key in snapshot["counters"] if key.startswith("engine.")
+        )
+        for key in engine_keys + ["protocol.iterations"]:
+            assert snapshot["counters"][key] == serial["counters"][key], key
+        assert snapshot["counters"]["protocol.iterations"] == 8
+
+        def phase_spans(document):
+            return {
+                span["name"] for span in document["spans"]
+                if span["name"].startswith("phase.")
+            }
+
+        assert phase_spans(snapshot) == phase_spans(serial) == {
+            "phase.warmup", "phase.cooldown", "phase.workload",
+        }
         assert snapshot["gauges"]["batch.size"] == 4
         assert snapshot["gauges"]["batch.steps_per_sec"] > 0
 

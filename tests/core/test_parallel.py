@@ -6,6 +6,7 @@ byte-identical output to the serial path.
 """
 
 import json
+import os
 
 import pytest
 
@@ -145,9 +146,13 @@ class TestPlumbing:
         with pytest.raises(ConfigurationError):
             runner.run_fleet(MODEL, unconstrained(), jobs=-2)
 
-    def test_jobs_zero_means_all_cores(self):
+    def test_jobs_zero_means_all_cores(self, monkeypatch):
         runner = CampaignRunner(tiny_config())
         assert runner._resolve_jobs(0) >= 1
+        # Cores the process may not run on are not "all cores".
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert runner._resolve_jobs(0) == 1
+        assert CampaignRunner(tiny_config(jobs=4))._resolve_jobs(None) == 1
 
     def test_run_tasks_requires_positive_jobs(self):
         with pytest.raises(ConfigurationError):
