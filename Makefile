@@ -33,9 +33,10 @@ bench-batch:
 bench-crowd:
 	pytest benchmarks/test_perf_crowd.py -q -s
 
-# Execution backend transport A/B: shared-memory vs pickled results on
-# a traced fleet, result-byte accounting, and crowd memory flatness on
-# the shared-memory backend; writes BENCH_backend.json.
+# Execution backend transport: in-process vs shared-memory pool on a
+# traced fleet (result parity gated, wall times recorded), pickled-byte
+# reduction against the same payloads pickled whole, and crowd memory
+# flatness on the pool; writes BENCH_backend.json.
 bench-backend:
 	pytest benchmarks/test_perf_backend.py -q -s
 

@@ -1,27 +1,26 @@
 """Execution backend transport: zero-copy shared memory vs pickling.
 
-Measures the tentpole claim of :mod:`repro.core.backends`: on a
-trace-heavy fleet campaign the shared-memory backend must move trace
-sample blocks through named segments the parent *attaches* instead of
-pickled copies it must deserialize, without changing a single byte of
-the results.  Three benches:
+Measures the claim of :mod:`repro.core.backends`: on a trace-heavy fleet
+campaign the shared-memory pool must move trace sample blocks through
+named segments the parent *attaches* instead of pickled copies it must
+deserialize, without changing a single byte of the results.  Three
+benches:
 
 * end-to-end ``run_fleet`` A/B on a 32-unit traced fleet
   (``keep_traces=True``, ``trace_decimation=1``), interleaved
-  process-pool vs shared-memory arms, best-of per arm.  Result parity —
-  scalar fields *and* raw trace bytes — gates unconditionally; the
-  wall-clock floor is asserted only on multi-core hosts (on one CPU the
-  arms time-slice the same core and vectorized compute dominates, so
-  the A/B measures scheduler noise) and is disabled by
-  ``REPRO_BENCH_SKIP_RATE_ASSERT``.
-* transport byte accounting at ``jobs=2``: the pool's result-side
-  ``transport.pickle_bytes`` must be at least 10x the shared-memory
-  backend's, and the segment bytes must equal the trace payload
-  exactly.  Byte counts are deterministic — this gate is unconditional,
-  host speed never excuses it.
+  in-process (``jobs=1``) vs shared-memory (``jobs=2``) arms, best-of
+  per arm.  Result parity — scalar fields *and* raw trace bytes — gates
+  unconditionally; the wall times and their ratio are recorded, not
+  gated.
+* transport byte accounting at ``jobs=2``: the pickled size of the same
+  tasks' payloads, run in-process and pickled whole (what a pickling
+  transport would ship), must be at least 10x the shared-memory pool's
+  result-side ``transport.pickle_bytes``, and the segment bytes must
+  equal the trace payload exactly.  Byte counts are deterministic —
+  this gate is unconditional, host speed never excuses it.
 * crowd memory flatness: 4x the users through the streamed crowd on the
-  shared-memory backend at ``jobs=2`` must keep the parent's traced
-  peak flat — eager payload release keeps the stream O(cohort), not
+  shared-memory pool at ``jobs=2`` must keep the parent's traced peak
+  flat — eager payload release keeps the stream O(cohort), not
   O(users), even with a worker pool shipping results back.
 
 Results land in ``BENCH_backend.json`` at the repository root.
@@ -31,13 +30,12 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import time
 import tracemalloc
-from dataclasses import replace
 
-import pytest
-
-from benchmarks.test_perf_campaign import RETRACT, _merge_results
+from benchmarks.test_perf_campaign import _merge_results
+from repro.core.backends import InProcessBackend
 from repro.core.config import AccubenchConfig
 from repro.core.crowd_stream import run_streaming_crowd_study
 from repro.core.experiments import unconstrained
@@ -56,14 +54,14 @@ FLEET_N = 32
 SCALE = 0.3
 JOBS = 2
 REPEATS = 3
-ARMS = ("process-pool", "shared-memory")
-MIN_BACKEND_SPEEDUP = 1.5
+#: Each arm's job count; the job count alone picks the backend.
+ARMS = {"in-process": 1, "shared-memory": JOBS}
 MIN_PICKLE_REDUCTION = 10.0
 MEMORY_USERS = (1024, 4096)
 MEMORY_COHORT = 256
 
 
-def _config(backend: str) -> CampaignConfig:
+def _config() -> CampaignConfig:
     accubench = AccubenchConfig(
         thermal_solver="expm",
         iterations=1,
@@ -71,20 +69,20 @@ def _config(backend: str) -> CampaignConfig:
         keep_traces=True,
         trace_decimation=1,
     ).scaled(SCALE)
-    return CampaignConfig(accubench=accubench, root_seed=7, backend=backend)
+    return CampaignConfig(accubench=accubench, root_seed=7)
 
 
 def _fleet():
     return synthetic_fleet(MODEL, FLEET_N, root_seed=7)
 
 
-def _run(backend: str):
+def _run(jobs: int):
     """One traced fleet campaign; returns (wall seconds, result)."""
-    runner = CampaignRunner(_config(backend))
+    runner = CampaignRunner(_config())
     fleet = _fleet()
     start = time.perf_counter()
     result = runner.run_fleet(
-        MODEL, unconstrained(), devices=fleet, iterations=1, jobs=JOBS
+        MODEL, unconstrained(), devices=fleet, iterations=1, jobs=jobs
     )
     return time.perf_counter() - start, result
 
@@ -124,86 +122,67 @@ def test_backend_fleet_speedup():
     best = {arm: float("inf") for arm in ARMS}
     results = {}
     for _ in range(REPEATS):
-        for arm in ARMS:
-            wall, result = _run(arm)
+        for arm, jobs in ARMS.items():
+            wall, result = _run(jobs)
             best[arm] = min(best[arm], wall)
             results[arm] = result
-    speedup = best["process-pool"] / best["shared-memory"]
+    speedup = best["in-process"] / best["shared-memory"]
     # Bit-identical results gate unconditionally — a fast transport that
     # corrupts a trace byte is a bug, not a win.
-    assert _digest(results["process-pool"]) == _digest(
+    assert _digest(results["in-process"]) == _digest(
         results["shared-memory"]
     )
-    cores = os.cpu_count() or 1
+    cores = len(os.sched_getaffinity(0))
     trace_mb = _trace_payload_bytes(results["shared-memory"]) / 2**20
     print(
         f"\n{FLEET_N}-unit traced fleet ({trace_mb:.1f} MB of traces): "
-        f"pool {best['process-pool']:.2f} s, "
-        f"shm {best['shared-memory']:.2f} s ({speedup:.2f}x, {cores} cores)"
+        f"in-process {best['in-process']:.2f} s, "
+        f"shm jobs={JOBS} {best['shared-memory']:.2f} s "
+        f"({speedup:.2f}x, {cores} cores)"
     )
-    if cores < 2:
-        # On one CPU the worker pool time-slices a single core and the
-        # vectorized engine dominates the wall; the transport delta is
-        # noise, so the ratio is recorded as unavailable rather than as
-        # a misleading number (the byte-accounting bench below carries
-        # the transport claim on such hosts).
-        _merge_results(
-            {
-                "backend_fleet_n": FLEET_N,
-                "backend_trace_mb": round(trace_mb, 2),
-                "backend_pool_s": round(best["process-pool"], 3),
-                "backend_shm_s": round(best["shared-memory"], 3),
-                "backend_speedup": None,
-                "backend_speedup_skipped_reason": "single_cpu",
-                "backend_cpu_count": cores,
-            },
-            path=RESULTS_PATH,
-        )
-        pytest.skip("single-CPU machine; transport A/B floor not meaningful")
     _merge_results(
         {
             "backend_fleet_n": FLEET_N,
             "backend_trace_mb": round(trace_mb, 2),
-            "backend_pool_s": round(best["process-pool"], 3),
+            "backend_inprocess_s": round(best["in-process"], 3),
             "backend_shm_s": round(best["shared-memory"], 3),
-            "backend_speedup": round(speedup, 3),
-            "backend_speedup_skipped_reason": RETRACT,
+            "backend_shm_speedup": round(speedup, 3),
             "backend_cpu_count": cores,
         },
         path=RESULTS_PATH,
     )
-    if os.environ.get("REPRO_BENCH_SKIP_RATE_ASSERT"):
-        pytest.skip("rate floor assertion disabled by environment")
-    assert speedup >= MIN_BACKEND_SPEEDUP, (
-        f"shared-memory backend speedup {speedup:.2f}x below "
-        f"{MIN_BACKEND_SPEEDUP}x at N={FLEET_N}, jobs={JOBS}"
+
+
+def _pickled_payload_bytes() -> int:
+    """What a pickling transport would ship for the shared-memory arm:
+    the same tasks' payloads, run in-process and pickled whole."""
+    runner = CampaignRunner(_config())
+    tasks = runner._fleet_tasks(_fleet(), unconstrained(), JOBS, iterations=1)
+    return sum(
+        len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
+        for _, payload in InProcessBackend().execute(
+            tasks, 1, collect_metrics=True
+        )
     )
 
 
 def test_shared_memory_reduces_pickled_result_bytes():
     # Metered pass: the counters are deterministic byte counts, so the
     # reduction floor gates unconditionally on every host.
-    counters = {}
-    payload_bytes = 0
-    for arm in ARMS:
-        runner = CampaignRunner(_config(arm))
-        with use_registry(MetricsRegistry(enabled=True)) as registry:
-            result = runner.run_fleet(
-                MODEL,
-                unconstrained(),
-                devices=_fleet(),
-                iterations=1,
-                jobs=JOBS,
-            )
-        counters[arm] = registry.snapshot()["counters"]
-        payload_bytes = _trace_payload_bytes(result)
-    pool_bytes = counters["process-pool"]["transport.pickle_bytes"]
-    shm_bytes = counters["shared-memory"].get("transport.pickle_bytes", 0)
-    segment_bytes = counters["shared-memory"]["transport.shm_bytes"]
-    reduction = pool_bytes / max(shm_bytes, 1)
+    runner = CampaignRunner(_config())
+    with use_registry(MetricsRegistry(enabled=True)) as registry:
+        result = runner.run_fleet(
+            MODEL, unconstrained(), devices=_fleet(), iterations=1, jobs=JOBS
+        )
+    counters = registry.snapshot()["counters"]
+    payload_bytes = _trace_payload_bytes(result)
+    pickled_bytes = _pickled_payload_bytes()
+    shm_bytes = counters.get("transport.pickle_bytes", 0)
+    segment_bytes = counters["transport.shm_bytes"]
+    reduction = pickled_bytes / max(shm_bytes, 1)
     _merge_results(
         {
-            "backend_pool_result_pickle_bytes": int(pool_bytes),
+            "backend_pickled_payload_bytes": int(pickled_bytes),
             "backend_shm_result_pickle_bytes": int(shm_bytes),
             "backend_shm_segment_bytes": int(segment_bytes),
             "backend_pickle_reduction": round(reduction, 1),
@@ -211,32 +190,30 @@ def test_shared_memory_reduces_pickled_result_bytes():
         path=RESULTS_PATH,
     )
     print(
-        f"\nresult transport at jobs={JOBS}: pool pickled "
-        f"{pool_bytes / 2**20:.2f} MB, shm pickled "
+        f"\nresult transport at jobs={JOBS}: payloads pickled whole "
+        f"{pickled_bytes / 2**20:.2f} MB, shm pickled "
         f"{shm_bytes / 2**10:.0f} KB + {segment_bytes / 2**20:.2f} MB "
         f"in segments ({reduction:.0f}x fewer pickled bytes)"
     )
     # Every trace sample block travelled through a segment, byte for
     # byte, and the pickled remainder shrank by at least the floor.
     assert segment_bytes == payload_bytes
-    assert counters["shared-memory"].get("transport.traces_copied", 0) == 0
     assert reduction >= MIN_PICKLE_REDUCTION, (
         f"shared-memory transport pickled only {reduction:.1f}x fewer "
-        f"result bytes than the pool (floor {MIN_PICKLE_REDUCTION}x)"
+        f"result bytes than the payloads pickled whole "
+        f"(floor {MIN_PICKLE_REDUCTION}x)"
     )
 
 
 def test_crowd_memory_flat_on_shared_memory_backend():
     # 4x the users at the same cohort width must not grow the parent's
-    # peak: workers ship cohort results back over shared memory, the
+    # peak: jobs=2 puts the cohorts on the shared-memory pool, workers
+    # ship cohort results back over shared memory, the
     # stream folds them, and eager payload release drops each cohort
     # before the next lands.
     peaks = {}
     for users in MEMORY_USERS:
-        config = replace(
-            default_crowd_differential_config(user_count=users),
-            backend="shared-memory",
-        )
+        config = default_crowd_differential_config(user_count=users)
         tracemalloc.start()
         result = run_streaming_crowd_study(
             config, cohort_size=MEMORY_COHORT, jobs=JOBS

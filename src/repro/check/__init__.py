@@ -35,7 +35,6 @@ from repro.check.differential import (
     Pairing,
     Tolerance,
     ToleranceSpec,
-    backend_pairing,
     batch_pairing,
     crowd_stream_pairing_report,
     default_crowd_differential_config,
@@ -79,7 +78,6 @@ __all__ = [
     "Pairing",
     "Tolerance",
     "ToleranceSpec",
-    "backend_pairing",
     "batch_pairing",
     "crowd_stream_pairing_report",
     "default_crowd_differential_config",

@@ -375,7 +375,7 @@ class Pairing:
     that ignores its model argument (the mixed fleet) pairs it with a
     single descriptive label.  ``compare_traces`` extends the comparison
     from scalar result fields to the raw trace sample buffers — the gate
-    the backend pairings use, since a result transport that corrupted a
+    the jobs pairings use, since a result transport that corrupted a
     trace byte could still agree on every derived scalar.
     """
 
@@ -437,47 +437,24 @@ def fast_forward_pairing(base: CampaignConfig) -> Pairing:
 
 
 def jobs_pairing(base: CampaignConfig, jobs: int) -> Pairing:
-    """Serial vs ``jobs`` worker processes — must be bit-identical."""
+    """Serial in-process vs ``jobs`` workers on the shared-memory pool —
+    bit-identical down to the raw trace bytes.
+
+    Both sides keep full traces, so the pool's segment transport and
+    parent-side attach are exercised and diffed on every run.
+    """
     if jobs < 2:
         raise CheckError("jobs pairing needs at least 2 workers on the B side")
+    traced = _with_protocol(base, keep_traces=True)
     return Pairing(
         name=f"jobs-{jobs}",
         label_a="serial",
         label_b=f"jobs={jobs}",
-        config_a=base,
-        config_b=base,
+        config_a=traced,
+        config_b=traced,
         spec=EXACT_SPEC,
         jobs_a=1,
         jobs_b=jobs,
-    )
-
-
-def backend_pairing(
-    base: CampaignConfig,
-    backend_a: str,
-    backend_b: str,
-    jobs_a: int = 1,
-    jobs_b: int = 2,
-) -> Pairing:
-    """Two execution backends on the same campaign — bit-identical down
-    to the raw trace bytes.
-
-    Both sides keep full traces so the shared-memory transport's attach
-    path is actually exercised and diffed; an explicit backend name is
-    honored even at one job (``shared-memory`` with ``jobs_b=1`` runs a
-    one-worker pool with the full segment transport, which is exactly
-    the coverage wanted).
-    """
-    traced = _with_protocol(base, keep_traces=True)
-    return Pairing(
-        name=f"backend-{backend_a}-vs-{backend_b}-j{jobs_b}",
-        label_a=f"{backend_a}/j{jobs_a}",
-        label_b=f"{backend_b}/j{jobs_b}",
-        config_a=replace(traced, backend=backend_a),
-        config_b=replace(traced, backend=backend_b),
-        spec=EXACT_SPEC,
-        jobs_a=jobs_a,
-        jobs_b=jobs_b,
         compare_traces=True,
     )
 
@@ -641,11 +618,11 @@ def mixed_fleet_pairing(base: CampaignConfig) -> Pairing:
 
 
 def default_pairings(base: CampaignConfig) -> Tuple[Pairing, ...]:
-    """The standard battery: euler↔expm, serial↔{2,4} jobs, ff on↔off,
-    serial↔batched engine, the batch-eligibility parity matrix
-    (invariants on, memory-bounded, skin-throttled, mixed fleet), plus
-    the execution-backend parity matrix (in-process ↔ process-pool ↔
-    shared-memory at 1, 2 and 4 jobs, traces included)."""
+    """The standard battery: euler↔expm, serial↔{2,4} jobs (traces
+    included, so the shared-memory transport is diffed byte for byte),
+    ff on↔off, serial↔batched engine, and the batch-eligibility parity
+    matrix (invariants on, memory-bounded, skin-throttled, mixed
+    fleet)."""
     return (
         solver_pairing(base),
         jobs_pairing(base, 2),
@@ -656,10 +633,6 @@ def default_pairings(base: CampaignConfig) -> Tuple[Pairing, ...]:
         batch_memory_bound_pairing(base),
         batch_skin_throttle_pairing(base),
         mixed_fleet_pairing(base),
-        backend_pairing(base, "in-process", "process-pool", jobs_a=1, jobs_b=2),
-        backend_pairing(base, "in-process", "shared-memory", jobs_a=1, jobs_b=1),
-        backend_pairing(base, "in-process", "shared-memory", jobs_a=1, jobs_b=2),
-        backend_pairing(base, "process-pool", "shared-memory", jobs_a=4, jobs_b=4),
     )
 
 

@@ -146,13 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for cohort execution (streamed mode)",
     )
     crowd.add_argument(
-        "--backend",
-        choices=("auto", "in-process", "process-pool", "shared-memory"),
-        default="auto",
-        help="execution backend for cohort workers (streamed mode); "
-        "results and checkpoints are bit-identical under every choice",
-    )
-    crowd.add_argument(
         "--checkpoint",
         metavar="PATH",
         default=None,
@@ -329,14 +322,6 @@ def _add_protocol_args(parser: argparse.ArgumentParser) -> None:
         "results are identical to --jobs 1",
     )
     parser.add_argument(
-        "--backend",
-        choices=("auto", "in-process", "process-pool", "shared-memory"),
-        default="auto",
-        help="execution backend: auto picks in-process at one job and "
-        "the zero-copy shared-memory pool otherwise; results are "
-        "bit-identical under every choice",
-    )
-    parser.add_argument(
         "--solver",
         choices=("euler", "expm"),
         default="euler",
@@ -390,7 +375,6 @@ def _runner(args: argparse.Namespace) -> CampaignRunner:
             use_thermabox=not args.no_thermabox,
             root_seed=args.seed,
             jobs=getattr(args, "jobs", 1),
-            backend=getattr(args, "backend", "auto"),
         ),
         progress=ProgressPrinter() if getattr(args, "progress", False) else None,
     )
@@ -611,7 +595,6 @@ def _cmd_crowd_stream(args: argparse.Namespace, protocol) -> int:
         user_count=args.users,
         protocol=dc_replace(protocol, thermal_solver="expm"),
         root_seed=args.seed,
-        backend=getattr(args, "backend", "auto"),
     )
     bus = ProgressBus()
     watchdog = default_watchdog()

@@ -1,54 +1,44 @@
-"""Pluggable execution backends with zero-copy shared-memory transport.
+"""Execution backends: in-process at one job, a shared-memory pool above.
 
-:func:`repro.core.parallel.run_tasks` used to hard-wire a
-``ProcessPoolExecutor``: every task and every result — including each
-:class:`~repro.sim.trace.Trace`'s numpy buffer — round-tripped through
-pickle, and the parent paid an unpickle copy per trace.  This module
-factors the execution substrate into an :class:`ExecutionBackend`
-interface with three implementations:
+:func:`repro.core.parallel.run_tasks` and the streamed crowd both take
+their executor from :func:`backend_for`, and the effective job count
+alone decides it:
 
 :class:`InProcessBackend`
     Runs tasks sequentially in the caller's process — byte-for-byte the
     historical serial campaign loop.
-:class:`ProcessPoolBackend`
-    The historical pool path: a ``ProcessPoolExecutor`` per dispatch,
-    results pickled whole.
 :class:`SharedMemoryBackend`
     A persistent worker pool fed by a work queue.  Workers pack every
     result trace's sample rows into one ``multiprocessing.shared_memory``
-    segment per task (or a memmapped spill file once the parent's live
-    attach bytes exceed a configurable budget) and ship only a lightweight
-    pickled header — the stripped results, metric snapshot and per-trace
-    ``(offsets, phases)``.  The parent attaches numpy views instead of
-    unpickling copies.
+    segment per task and ship only a lightweight pickled header — the
+    stripped results, metric snapshot and per-trace ``(offsets,
+    phases)``.  The parent attaches numpy views instead of unpickling
+    copies.
 
-Every backend consumes tasks from an *iterable* with a bounded in-flight
-window — ``10^4+`` cohort tasks are never enqueued (or pickled) upfront —
-and yields ``(submission_index, TaskPayload)`` in completion order.  The
-contract, enforced unconditionally by ``repro.check.differential``'s
-backend pairings, is bit-identical results (trace bytes included) for any
-backend and any jobs count: a backend moves results, it never shapes them.
+Both consume tasks from an *iterable* with a bounded in-flight window —
+``10^4+`` cohort tasks are never enqueued (or pickled) upfront — and
+yield ``(submission_index, TaskPayload)`` in completion order.  The
+contract, enforced by ``repro.check.differential``'s traced jobs
+pairings, is bit-identical results (trace bytes included) for any jobs
+count: a backend moves results, it never shapes them.
 
-Segment lifetime (shared-memory backend)
-----------------------------------------
+Segment lifetime
+----------------
 The worker creates a segment, detaches it from its own resource tracker
 (the parent owns cleanup), copies the live trace rows in, closes its
 mapping and sends the segment name.  The parent attaches, **unlinks
 immediately** — so a crash never leaks a named segment past the attach —
 and parks the mapping in an owner object each attached trace holds; the
 memory is released when the last trace referencing it is collected (or
-grows its buffer onto the heap).  Live attached bytes are tracked against
-``rss_budget_mb``: past the budget, new tasks are flagged to spill their
-trace block to a temp file instead, which the parent memmaps
-copy-on-write and deletes right after mapping.
+grows its buffer onto the heap).
 
 Transport telemetry (published when the default registry is enabled):
-``transport.pickle_bytes`` (result-side pickled bytes — comparable
-across backends), ``transport.task_pickle_bytes`` (submission blobs),
-``transport.shm_bytes`` (trace bytes moved by segment or spill file),
-``transport.traces_attached`` / ``transport.traces_copied`` (zero-copy
-attaches vs unpickled copies), and the ``backend.queue_depth`` gauge
-(in-flight window occupancy at each scheduling step).
+``transport.pickle_bytes`` (result-side pickled bytes),
+``transport.task_pickle_bytes`` (submission blobs),
+``transport.shm_bytes`` (trace bytes moved by segment),
+``transport.traces_attached`` (zero-copy attaches), and the
+``backend.queue_depth`` gauge (in-flight window occupancy at each
+scheduling step).
 """
 
 from __future__ import annotations
@@ -57,12 +47,7 @@ import multiprocessing
 import os
 import pickle
 import queue
-import tempfile
-import time
 import traceback
-import weakref
-from abc import ABC, abstractmethod
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import replace
 from multiprocessing import resource_tracker, shared_memory
 from typing import (
@@ -74,6 +59,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 import numpy as np
@@ -84,23 +70,8 @@ from repro.errors import BackendError, ConfigurationError
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.sim.trace import Trace
 
-#: Every name ``CampaignConfig.backend`` / ``CrowdConfig.backend`` /
-#: ``--backend`` accepts.  ``"auto"`` resolves at dispatch time:
-#: in-process at one effective job, shared-memory otherwise.
-BACKEND_NAMES: Tuple[str, ...] = (
-    "auto",
-    "in-process",
-    "process-pool",
-    "shared-memory",
-)
-
-#: Tasks kept in flight beyond the worker count (prefetch depth) when the
-#: caller does not size the window explicitly.
+#: Tasks kept in flight beyond the worker count (prefetch depth).
 PREFETCH = 2
-
-#: Environment override for the shared-memory backend's attach budget, in
-#: megabytes; past it, trace blocks spill to memmapped temp files.
-SPILL_BUDGET_ENV = "REPRO_SHM_BUDGET_MB"
 
 #: How long a worker sits on an empty work queue before re-checking that
 #: its parent is still alive (a SIGKILLed parent must not leave orphans).
@@ -110,37 +81,10 @@ _WORKER_POLL_S = 5.0
 _ITEM_BYTES = 8
 
 
-def validate_backend(name: str) -> str:
-    """Return ``name`` if it is a known backend, else raise."""
-    if name not in BACKEND_NAMES:
-        raise ConfigurationError(
-            f"unknown backend {name!r}; choose one of: "
-            + ", ".join(BACKEND_NAMES)
-        )
-    return name
-
-
-def resolve_backend(name: str, jobs: int) -> "ExecutionBackend":
-    """Build the backend a name resolves to at an effective worker count.
-
-    ``"auto"`` picks :class:`InProcessBackend` when everything would run
-    under a single job anyway, and the zero-copy
-    :class:`SharedMemoryBackend` (the parallel default) otherwise.  An
-    explicit name is always honored as given — ``"shared-memory"`` at
-    ``jobs=1`` still runs a one-worker pool with full transport, which is
-    exactly what the backend parity pairings exercise.
-    """
-    validate_backend(name)
-    if name == "auto":
-        name = "in-process" if jobs <= 1 else "shared-memory"
-    if name == "in-process":
-        return InProcessBackend()
-    if name == "process-pool":
-        return ProcessPoolBackend()
-    budget = os.environ.get(SPILL_BUDGET_ENV)
-    return SharedMemoryBackend(
-        rss_budget_mb=float(budget) if budget else None
-    )
+def backend_for(jobs: int) -> Backend:
+    """The executor for an effective worker count: in-process at one job,
+    the shared-memory pool otherwise."""
+    return InProcessBackend() if jobs <= 1 else SharedMemoryBackend()
 
 
 def default_window(jobs: int) -> int:
@@ -148,40 +92,7 @@ def default_window(jobs: int) -> int:
     return jobs + PREFETCH
 
 
-class ExecutionBackend(ABC):
-    """Where tasks run and how their results travel back.
-
-    ``execute`` consumes tasks lazily (pulling at most ``window`` ahead of
-    completions) and yields ``(submission_index, TaskPayload)`` in
-    completion order; callers needing submission order reassemble by
-    index.  Backends are reusable across ``execute`` calls — the
-    shared-memory pool persists between dispatches — and must be
-    ``close``\\ d when the campaign is done (``with backend:`` works too).
-    """
-
-    name: str = "?"
-
-    @abstractmethod
-    def execute(
-        self,
-        tasks: Iterable[Task],
-        jobs: int,
-        collect_metrics: bool = False,
-        window: Optional[int] = None,
-    ) -> Iterator[Tuple[int, TaskPayload]]:
-        """Run tasks; yield ``(submission_index, payload)`` as they land."""
-
-    def close(self) -> None:
-        """Release worker processes and transport resources (idempotent)."""
-
-    def __enter__(self) -> "ExecutionBackend":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-
-class InProcessBackend(ExecutionBackend):
+class InProcessBackend:
     """Sequential execution in the caller's process.
 
     Tasks run on the caller's own objects (a :class:`DeviceTask`'s device
@@ -189,15 +100,13 @@ class InProcessBackend(ExecutionBackend):
     transport at all, so ``jobs`` is ignored.
     """
 
-    name = "in-process"
-
     def execute(
         self,
         tasks: Iterable[Task],
         jobs: int,
         collect_metrics: bool = False,
-        window: Optional[int] = None,
     ) -> Iterator[Tuple[int, TaskPayload]]:
+        """Run tasks one by one; yield ``(submission_index, payload)``."""
         if jobs < 1:
             raise ConfigurationError("jobs must be at least 1")
         for index, task in enumerate(tasks):
@@ -205,83 +114,8 @@ class InProcessBackend(ExecutionBackend):
                 task, collect_metrics=collect_metrics
             )
 
-
-class ProcessPoolBackend(ExecutionBackend):
-    """The historical ``ProcessPoolExecutor`` path, now windowed.
-
-    Results are pickled whole — trace buffers included — which is exactly
-    what the shared-memory backend's A/B benchmark measures against.  When
-    the parent registry is enabled, result transport is metered by
-    re-serializing each payload (``transport.pickle_bytes``), so byte
-    counters cost a copy; benchmarks time with metrics off and meter in a
-    separate pass.
-    """
-
-    name = "process-pool"
-
-    def execute(
-        self,
-        tasks: Iterable[Task],
-        jobs: int,
-        collect_metrics: bool = False,
-        window: Optional[int] = None,
-    ) -> Iterator[Tuple[int, TaskPayload]]:
-        if jobs < 1:
-            raise ConfigurationError("jobs must be at least 1")
-        window = default_window(jobs) if window is None else max(1, window)
-        registry = default_registry()
-        iterator = enumerate(tasks)
-        exhausted = False
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            pending: Dict[Any, int] = {}
-            try:
-                while True:
-                    while not exhausted and len(pending) < window:
-                        try:
-                            index, task = next(iterator)
-                        except StopIteration:
-                            exhausted = True
-                            break
-                        future = pool.submit(
-                            execute_task_payload, task, collect_metrics
-                        )
-                        pending[future] = index
-                    if registry.enabled:
-                        registry.gauge("backend.queue_depth").set(
-                            len(pending)
-                        )
-                    if not pending:
-                        break
-                    done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        index = pending.pop(future)
-                        payload = future.result()
-                        if registry.enabled:
-                            _meter_pickled_payload(registry, payload)
-                        yield index, payload
-            finally:
-                for future in pending:
-                    future.cancel()
-
-
-def _meter_pickled_payload(
-    registry: MetricsRegistry, payload: TaskPayload
-) -> None:
-    """Count one pickle-transported payload's bytes and trace copies."""
-    try:
-        size = len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
-    except Exception:  # unpicklable payloads never reached the parent anyway
-        return
-    registry.counter("transport.pickle_bytes").add(float(size))
-    copied = sum(
-        1
-        for result in payload.results
-        if isinstance(result, DeviceResult)
-        for iteration in result.iterations
-        if iteration.trace is not None
-    )
-    if copied:
-        registry.counter("transport.traces_copied").add(float(copied))
+    def close(self) -> None:
+        """Nothing to release."""
 
 
 # ---------------------------------------------------------------------------
@@ -291,20 +125,18 @@ def _meter_pickled_payload(
 class _SegmentOwner:
     """Keeps one attached trace block mapped until every view is gone."""
 
-    __slots__ = ("_segment", "__weakref__")
+    __slots__ = ("_segment",)
 
-    def __init__(self, segment: Any) -> None:
+    def __init__(self, segment: shared_memory.SharedMemory) -> None:
         self._segment = segment
 
     def __del__(self) -> None:
-        close = getattr(self._segment, "close", None)
-        if close is not None:
-            try:
-                close()
-            except Exception:
-                # A view can outlive us inside one GC pass; the mapping is
-                # reclaimed with the process either way (already unlinked).
-                pass
+        try:
+            self._segment.close()
+        except Exception:
+            # A view can outlive us inside one GC pass; the mapping is
+            # reclaimed with the process either way (already unlinked).
+            pass
 
 
 def _create_segment(nbytes: int) -> shared_memory.SharedMemory:
@@ -340,7 +172,7 @@ def _attach_trace(
 
     A module-level seam on purpose: it runs in the parent (unlike the
     worker half), so the mutation smoke test can corrupt it with a plain
-    monkeypatch and prove the backend parity pairings have teeth.
+    monkeypatch and prove the traced jobs pairings have teeth.
     """
     return Trace.from_samples(
         channels, samples, phases=phases, open_phase=open_phase, owner=owner
@@ -376,42 +208,30 @@ def _strip_traces(
 
 
 def _detach_traces(
-    payload: TaskPayload, spill_path: Optional[str]
+    payload: TaskPayload,
 ) -> Tuple[TaskPayload, Optional[Dict[str, Any]]]:
-    """Worker-side pack: move trace rows out of the payload into a block.
+    """Worker-side pack: move trace rows out of the payload into a segment.
 
     Returns the stripped payload plus a transport block description
-    (``None`` when the payload carries no trace samples): segment name or
-    spill path, total bytes, and one header per trace —
-    ``(device, iteration, channels, rows, byte offset, phases, open
-    phase)`` — everything the parent needs to attach views in place.
+    (``None`` when the payload carries no trace samples): segment name,
+    total bytes, and one header per trace — ``(device, iteration,
+    channels, rows, byte offset, phases, open phase)`` — everything the
+    parent needs to attach views in place.
     """
     traces = list(_iter_traces(payload.results))
     if not traces:
-        if spill_path is not None:
-            try:
-                os.unlink(spill_path)
-            except OSError:
-                pass
         return payload, None
     nbytes = sum(t.samples().nbytes for _, _, t in traces)
-    cells = nbytes // _ITEM_BYTES
-    if spill_path is None:
-        segment = _create_segment(nbytes)
-        target = np.ndarray((cells,), dtype=np.float64, buffer=segment.buf)
-    else:
-        segment = None
-        target = np.memmap(
-            spill_path, dtype=np.float64, mode="w+", shape=(cells,)
-        )
+    segment = _create_segment(nbytes)
+    target = np.ndarray(
+        (nbytes // _ITEM_BYTES,), dtype=np.float64, buffer=segment.buf
+    )
     headers: List[Tuple[Any, ...]] = []
     offset = 0
     for d, i, trace in traces:
         rows = trace.samples()
-        count = rows.size
-        target[offset // _ITEM_BYTES : offset // _ITEM_BYTES + count] = (
-            rows.reshape(-1)
-        )
+        start = offset // _ITEM_BYTES
+        target[start : start + rows.size] = rows.reshape(-1)
         headers.append(
             (
                 d,
@@ -424,16 +244,10 @@ def _detach_traces(
             )
         )
         offset += rows.nbytes
+    del target  # release the exported buffer before closing the map
+    segment.close()
     stripped = _strip_traces(payload.results, [(d, i) for d, i, _ in traces])
-    if segment is not None:
-        block: Dict[str, Any] = {"kind": "shm", "name": segment.name}
-        del target  # release the exported buffer before closing the map
-        segment.close()
-    else:
-        target.flush()
-        block = {"kind": "file", "path": spill_path}
-        del target
-    block.update(nbytes=nbytes, headers=headers)
+    block = {"name": segment.name, "nbytes": nbytes, "headers": headers}
     return replace(payload, results=stripped), block
 
 
@@ -455,13 +269,12 @@ def _shm_worker_main(
             continue
         if envelope is None:
             return
-        index, blob, collect, spill_path = envelope
+        index, blob, collect = envelope
         try:
             task = pickle.loads(blob)
             payload = execute_task_payload(task, collect_metrics=collect)
-            payload, block = _detach_traces(payload, spill_path)
             body = pickle.dumps(
-                (payload, block), protocol=pickle.HIGHEST_PROTOCOL
+                _detach_traces(payload), protocol=pickle.HIGHEST_PROTOCOL
             )
             result_queue.put((index, "ok", body))
         except BaseException as error:  # ship it; the parent re-raises
@@ -478,46 +291,27 @@ def _shm_worker_main(
                 return
 
 
-class SharedMemoryBackend(ExecutionBackend):
+class SharedMemoryBackend:
     """Persistent worker pool with zero-copy trace transport.
 
-    Parameters
-    ----------
-    rss_budget_mb:
-        Soft ceiling on parent-attached live trace bytes.  While the
-        budget is exceeded, newly submitted tasks are flagged to spill
-        their trace block to a memmapped temp file instead of a
-        shared-memory segment, bounding resident shared memory for
-        disk-scale campaigns.  ``None`` (default) never spills; the
-        :data:`SPILL_BUDGET_ENV` environment variable configures it for
-        ``"auto"``-resolved backends.
-    spill_dir:
-        Directory for spill files; the system temp dir by default.
+    The pool starts on the first ``execute`` and persists between
+    dispatches at the same worker count; ``close`` it when the campaign
+    is done (``with SharedMemoryBackend() as backend:`` works too).
     """
 
-    name = "shared-memory"
-
-    def __init__(
-        self,
-        rss_budget_mb: Optional[float] = None,
-        spill_dir: Optional[str] = None,
-    ) -> None:
+    def __init__(self) -> None:
         self._context = multiprocessing.get_context()
         self._workers: List[Any] = []
         self._task_queue: Optional[Any] = None
         self._result_queue: Optional[Any] = None
         self._worker_count = 0
         self._inflight = 0
-        self._live_bytes = 0
-        self._rss_budget_bytes = (
-            None if rss_budget_mb is None else int(rss_budget_mb * 1e6)
-        )
-        self._spill_dir = spill_dir
 
-    @property
-    def live_attached_bytes(self) -> int:
-        """Trace bytes currently mapped into the parent via attach."""
-        return self._live_bytes
+    def __enter__(self) -> "SharedMemoryBackend":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
 
     # -- pool lifecycle -------------------------------------------------
 
@@ -544,6 +338,7 @@ class SharedMemoryBackend(ExecutionBackend):
         self._worker_count = jobs
 
     def close(self) -> None:
+        """Release worker processes and unread segments (idempotent)."""
         workers, self._workers = self._workers, []
         task_queue, self._task_queue = self._task_queue, None
         result_queue, self._result_queue = self._result_queue, None
@@ -564,8 +359,8 @@ class SharedMemoryBackend(ExecutionBackend):
             if worker.is_alive():
                 worker.terminate()
                 worker.join(timeout=5.0)
-        # Unread completions still hold named segments (or spill files);
-        # attach-and-unlink each so an aborted stream leaks nothing.
+        # Unread completions still hold named segments; attach-and-unlink
+        # each so an aborted stream leaks nothing.
         while True:
             try:
                 message = result_queue.get_nowait()
@@ -580,7 +375,7 @@ class SharedMemoryBackend(ExecutionBackend):
                 pass
 
     def _discard(self, message: Tuple[Any, ...]) -> None:
-        """Release the transport resources of a result nobody will read."""
+        """Release the segment of a result nobody will read."""
         try:
             _, kind, body = message
             if kind != "ok":
@@ -588,12 +383,9 @@ class SharedMemoryBackend(ExecutionBackend):
             _, block = pickle.loads(body)
             if block is None:
                 return
-            if block["kind"] == "shm":
-                segment = shared_memory.SharedMemory(name=block["name"])
-                segment.unlink()
-                segment.close()
-            else:
-                os.unlink(block["path"])
+            segment = shared_memory.SharedMemory(name=block["name"])
+            segment.unlink()
+            segment.close()
         except Exception:
             pass
 
@@ -604,11 +396,13 @@ class SharedMemoryBackend(ExecutionBackend):
         tasks: Iterable[Task],
         jobs: int,
         collect_metrics: bool = False,
-        window: Optional[int] = None,
     ) -> Iterator[Tuple[int, TaskPayload]]:
+        """Run tasks on ``jobs`` workers, pulling at most
+        :func:`default_window` ahead of completions; yield
+        ``(submission_index, payload)`` as they land."""
         if jobs < 1:
             raise ConfigurationError("jobs must be at least 1")
-        window = default_window(jobs) if window is None else max(1, window)
+        window = default_window(jobs)
         self._ensure_pool(jobs)
         registry = default_registry()
         iterator = enumerate(tasks)
@@ -624,14 +418,11 @@ class SharedMemoryBackend(ExecutionBackend):
                     blob = pickle.dumps(
                         task, protocol=pickle.HIGHEST_PROTOCOL
                     )
-                    self._task_queue.put(
-                        (index, blob, collect_metrics, self._spill_target())
-                    )
+                    self._task_queue.put((index, blob, collect_metrics))
                     self._inflight += 1
                     if registry.enabled:
-                        # Submissions are metered separately from results:
-                        # ``transport.pickle_bytes`` stays comparable
-                        # across backends as *result*-side bytes.
+                        # Submissions are metered apart from results, so
+                        # ``transport.pickle_bytes`` stays result-side.
                         registry.counter("transport.task_pickle_bytes").add(
                             float(len(blob))
                         )
@@ -676,19 +467,6 @@ class SharedMemoryBackend(ExecutionBackend):
 
     # -- attach side ----------------------------------------------------
 
-    def _spill_target(self) -> Optional[str]:
-        if (
-            self._rss_budget_bytes is None
-            or self._live_bytes < self._rss_budget_bytes
-        ):
-            return None
-        directory = self._spill_dir or tempfile.gettempdir()
-        handle, path = tempfile.mkstemp(
-            prefix="repro-spill-", suffix=".traces", dir=directory
-        )
-        os.close(handle)
-        return path
-
     def _attach_block(
         self,
         payload: TaskPayload,
@@ -696,26 +474,16 @@ class SharedMemoryBackend(ExecutionBackend):
         registry: MetricsRegistry,
     ) -> TaskPayload:
         nbytes = block["nbytes"]
-        if block["kind"] == "shm":
-            # Attach registers the name with the resource tracker (on every
-            # interpreter we support) and unlink() unregisters it — no manual
-            # tracker calls here, or the shared tracker sees a double
-            # unregister and whines at exit.
-            segment = shared_memory.SharedMemory(name=block["name"])
-            owner = _SegmentOwner(segment)
-            segment.unlink()
-            flat: np.ndarray = np.ndarray(
-                (nbytes // _ITEM_BYTES,),
-                dtype=np.float64,
-                buffer=segment.buf,
-            )
-        else:
-            # Copy-on-write mapping: a same-stamp overwrite after attach
-            # lands in anonymous memory, never back in the (deleted) file.
-            flat = np.memmap(block["path"], dtype=np.float64, mode="c")
-            owner = _SegmentOwner(flat)
-            os.unlink(block["path"])
-        self._retain(owner, nbytes)
+        # Attach registers the name with the resource tracker (on every
+        # interpreter we support) and unlink() unregisters it — no manual
+        # tracker calls here, or the shared tracker sees a double
+        # unregister and whines at exit.
+        segment = shared_memory.SharedMemory(name=block["name"])
+        owner = _SegmentOwner(segment)
+        segment.unlink()
+        flat: np.ndarray = np.ndarray(
+            (nbytes // _ITEM_BYTES,), dtype=np.float64, buffer=segment.buf
+        )
         results = list(payload.results)
         for d, i, channels, rows, offset, phases, open_phase in block[
             "headers"
@@ -736,9 +504,6 @@ class SharedMemoryBackend(ExecutionBackend):
             )
         return replace(payload, results=results)
 
-    def _retain(self, owner: _SegmentOwner, nbytes: int) -> None:
-        self._live_bytes += nbytes
-        weakref.finalize(owner, self._release, nbytes)
 
-    def _release(self, nbytes: int) -> None:
-        self._live_bytes -= nbytes
+#: Either executor :func:`backend_for` returns.
+Backend = Union[InProcessBackend, SharedMemoryBackend]

@@ -78,12 +78,6 @@ class CrowdConfig:
         The ambient-probe cycle lengths.
     root_seed:
         Seed for population sampling.
-    backend:
-        Execution backend for streamed cohort dispatch (see
-        :mod:`repro.core.backends`).  Backends move results without
-        shaping them, so this field is excluded from the checkpoint
-        fingerprint — a campaign checkpointed on one backend resumes
-        bit-identically on another.
     """
 
     model: str = "Nexus 5"
@@ -105,12 +99,8 @@ class CrowdConfig:
     probe_heat_s: float = 90.0
     probe_observe_s: float = 600.0
     root_seed: int = DEFAULT_ROOT_SEED
-    backend: str = "auto"
 
     def __post_init__(self) -> None:
-        from repro.core.backends import validate_backend
-
-        validate_backend(self.backend)
         if self.user_count < 1:
             raise ConfigurationError("user_count must be at least 1")
         low, high = self.ambient_range_c
@@ -396,14 +386,11 @@ def strict_filters(
     Filters on the *estimated* ambient (the real pipeline has no ground
     truth) and on the decay-fit quality.
     """
-    low, high = ambient_band_c
-    if low >= high:
-        raise AnalysisError("ambient_band_c must be (low, high)")
+    _strict_band(ambient_band_c)
     return [
         s
         for s in submissions
-        if s.ambient_estimate.is_confident(min_r_squared)
-        and low <= s.ambient_estimate.ambient_c <= high
+        if passes_strict_filters(s, ambient_band_c, min_r_squared)
     ]
 
 
@@ -413,13 +400,18 @@ def passes_strict_filters(
     min_r_squared: float = 0.9,
 ) -> bool:
     """One submission's :func:`strict_filters` verdict (streaming form)."""
-    low, high = ambient_band_c
-    if low >= high:
-        raise AnalysisError("ambient_band_c must be (low, high)")
+    low, high = _strict_band(ambient_band_c)
     return (
         submission.ambient_estimate.is_confident(min_r_squared)
         and low <= submission.ambient_estimate.ambient_c <= high
     )
+
+
+def _strict_band(ambient_band_c: Tuple[float, float]) -> Tuple[float, float]:
+    low, high = ambient_band_c
+    if low >= high:
+        raise AnalysisError("ambient_band_c must be (low, high)")
+    return low, high
 
 
 def average_ranks(values: Sequence[float]) -> np.ndarray:

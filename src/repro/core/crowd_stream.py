@@ -53,7 +53,7 @@ from repro.core.ambient_estimation import (
     DEFAULT_PROBE_SKIP_FRACTION,
     estimate_ambient,
 )
-from repro.core.backends import resolve_backend, validate_backend
+from repro.core.backends import backend_for
 from repro.core.batch_runner import run_batch_iteration
 from repro.core.crowd import (
     CrowdConfig,
@@ -97,9 +97,6 @@ DEFAULT_COHORT_SIZE = 256
 
 #: Default bounded-reservoir width for streaming ranking quality.
 DEFAULT_RESERVOIR_CAPACITY = 1024
-
-#: Cohort tasks kept in flight beyond the worker count (prefetch depth).
-_PREFETCH = 2
 
 
 # ---------------------------------------------------------------------------
@@ -443,13 +440,8 @@ def _config_fingerprint(
     reservoir_capacity: int,
 ) -> str:
     """Stable hash of everything that shapes the stream's trajectory."""
-    config_dict = asdict(config)
-    # The execution backend moves results without shaping them (the
-    # differential backend pairings gate exactly that), so a checkpoint
-    # written on one backend must resume on any other.
-    config_dict.pop("backend", None)
     payload = {
-        "config": config_dict,
+        "config": asdict(config),
         "cohort_size": cohort_size,
         "ambient_band_c": list(ambient_band_c),
         "min_r_squared": min_r_squared,
@@ -549,7 +541,6 @@ def run_streaming_crowd_study(
     watchdog: Optional[Watchdog] = None,
     manifest_path: Optional[str] = None,
     log: Optional[Callable[[str], None]] = None,
-    backend: Optional[str] = None,
 ) -> CrowdStreamResult:
     """Run (or resume) the §VI crowd campaign as a cohort stream.
 
@@ -561,14 +552,11 @@ def run_streaming_crowd_study(
     cohort_size:
         Users advanced per lock-step batch.
     jobs:
-        Worker processes; the execution backend prefetches cohorts a
-        bounded window ahead, and completions always *fold* in population
-        order, so results are identical for any worker count.
-    backend:
-        Execution backend name (see :mod:`repro.core.backends`);
-        ``None`` defers to ``config.backend``.  Checkpoints are
-        backend-agnostic — the backend is excluded from the campaign
-        fingerprint — and results are bit-identical on every backend.
+        Worker processes: one runs cohorts in-process, more run them on
+        the shared-memory pool (:func:`repro.core.backends.backend_for`),
+        which prefetches a bounded window ahead.  Completions always
+        *fold* in population order, so results — and checkpoints — are
+        identical for any worker count.
     checkpoint_path:
         When given: resume from it if it exists, write it every
         ``checkpoint_every`` folded cohorts.
@@ -617,9 +605,6 @@ def run_streaming_crowd_study(
         raise ConfigurationError("checkpoint_every must be at least 1")
     if jobs < 1:
         raise ConfigurationError("jobs must be at least 1")
-    backend_name = validate_backend(
-        backend if backend is not None else getattr(config, "backend", "auto")
-    )
 
     fingerprint = _config_fingerprint(
         config, cohort_size, ambient_band_c, min_r_squared, reservoir_capacity
@@ -770,7 +755,7 @@ def run_streaming_crowd_study(
 
     collect = registry.enabled
     effective_jobs = max(1, min(jobs, end_cohort - start_cohort))
-    engine = resolve_backend(backend_name, effective_jobs)
+    engine = backend_for(effective_jobs)
     with registry.span(
         "crowd.stream",
         model=crowd_model_label(config),
@@ -788,10 +773,7 @@ def run_streaming_crowd_study(
         next_fold = start_cohort
         try:
             for offset_index, payload in engine.execute(
-                task_iter,
-                effective_jobs,
-                collect_metrics=collect,
-                window=effective_jobs + _PREFETCH,
+                task_iter, effective_jobs, collect_metrics=collect
             ):
                 pending[start_cohort + offset_index] = payload
                 while next_fold in pending:

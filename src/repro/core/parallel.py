@@ -19,22 +19,21 @@ Results are bit-identical to a serial run regardless of worker count:
 * Devices are fully constructed in the parent process and shipped to
   workers by pickling, which round-trips generator state, thermal state and
   numpy buffers exactly.
-* :func:`run_tasks` hands tasks to an
-  :class:`~repro.core.backends.ExecutionBackend` and consumes completions
-  as they land — so the parent can merge worker telemetry and report
-  progress the moment each task completes — but results are reassembled
-  into a list keyed by submission index, so the returned order (and every
-  value in it) is independent of which worker finishes first.
+* :func:`run_tasks` hands tasks to an execution backend and consumes
+  completions as they land — so the parent can merge worker telemetry and
+  report progress the moment each task completes — but results are
+  reassembled into a list keyed by submission index, so the returned
+  order (and every value in it) is independent of which worker finishes
+  first.
 
-*Where* tasks run is a pluggable :mod:`repro.core.backends` choice
-(in-process, process pool, or the zero-copy shared-memory pool), selected
-by :attr:`CampaignConfig.backend` — results are bit-identical under every
-backend, a contract ``repro.check.differential``'s backend pairings gate
-unconditionally.  ``tasks`` may be any iterable: the backend pulls
+*Where* tasks run follows the effective job count alone
+(:func:`repro.core.backends.backend_for`): one job — or a single task —
+runs in-process, byte-for-byte the sequential campaign loop; more run on
+the zero-copy shared-memory pool.  Results are bit-identical either way,
+trace bytes included, a contract ``repro.check.differential``'s traced
+jobs pairings gate.  ``tasks`` may be any iterable: the backend pulls
 lazily, keeping a bounded in-flight window, so huge campaigns never
-enqueue (or pickle) every task upfront.  With ``"auto"`` (the default),
-``jobs == 1`` — or a single task — bypasses pools entirely and runs
-in-process: byte-for-byte the sequential campaign loop.
+enqueue (or pickle) every task upfront.
 
 Telemetry
 ---------
@@ -70,6 +69,7 @@ from repro.obs.metrics import MetricsRegistry, default_registry, use_registry
 from repro.obs.progress import ProgressCallback, TaskProgress
 
 if TYPE_CHECKING:  # circular at runtime: runner builds tasks, tasks run a runner
+    from repro.core.backends import Backend
     from repro.core.runner import CampaignConfig
 
 
@@ -179,11 +179,6 @@ class TaskPayload:
     metrics: Optional[Dict[str, Any]] = None
 
 
-def execute_device_task(task: DeviceTask) -> DeviceResult:
-    """Run one task to completion without telemetry (legacy entry point)."""
-    return execute_task_payload(task, collect_metrics=False).results[0]
-
-
 def execute_task_payload(
     task: "Task", collect_metrics: bool = False
 ) -> TaskPayload:
@@ -243,18 +238,16 @@ def run_tasks(
     tasks: Iterable["Task"],
     jobs: int,
     progress: Optional[ProgressCallback] = None,
-    backend: Optional[Union[str, "Any"]] = None,
+    backend: Optional["Backend"] = None,
 ) -> List[DeviceResult]:
     """Execute tasks over an execution backend, preserving task order.
 
     ``jobs`` must already be resolved to a concrete positive count (the
-    runner maps ``0`` to the machine's core count before calling).
-    ``backend`` is a :data:`~repro.core.backends.BACKEND_NAMES` name
-    (``None`` means ``"auto"``: in-process at one effective job, the
-    zero-copy shared-memory pool otherwise) or an already constructed
-    :class:`~repro.core.backends.ExecutionBackend` — a caller-owned
-    instance is used as-is and not closed here, so a long campaign can
-    keep one worker pool across dispatches.
+    runner maps ``0`` to the machine's core count before calling).  The
+    effective job count — ``jobs`` capped at the task count when that is
+    known — picks the backend.  ``backend`` is the seam for reusing or
+    forcing a pool: a caller-owned instance is used as-is and not closed
+    here, so a long campaign can keep one worker pool across dispatches.
 
     ``tasks`` may be a lazy iterable: the backend pulls at most a bounded
     window ahead of completions, and the per-task result-count/offset
@@ -267,7 +260,7 @@ def run_tasks(
     itself (metrics snapshot included) is dropped as soon as it is
     absorbed, so parent memory tracks the in-flight window.
     """
-    from repro.core.backends import ExecutionBackend, resolve_backend
+    from repro.core.backends import backend_for
 
     if jobs < 1:
         raise ConfigurationError("jobs must be at least 1")
@@ -281,13 +274,7 @@ def run_tasks(
     else:
         known_total = None
         effective = jobs
-
-    owned: Optional[ExecutionBackend] = None
-    if backend is None or isinstance(backend, str):
-        owned = resolve_backend(backend or "auto", effective)
-        engine: ExecutionBackend = owned
-    else:
-        engine = backend
+    engine = backend if backend is not None else backend_for(effective)
 
     sizes: List[int] = []
     offsets: List[int] = []
@@ -316,8 +303,8 @@ def run_tasks(
                 registry, payload, progress, offsets[index], completed, total
             )
     finally:
-        if owned is not None:
-            owned.close()
+        if backend is None:
+            engine.close()
     return [
         result for index in range(len(sizes)) for result in slots.pop(index)
     ]

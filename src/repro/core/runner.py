@@ -70,13 +70,6 @@ class CampaignConfig:
         machine's core count are clamped at resolution time (a per-call
         ``jobs`` override is honored as given).  Results are identical
         regardless (see :mod:`repro.core.parallel`).
-    backend:
-        Execution backend for multi-process dispatch (see
-        :mod:`repro.core.backends`): ``"auto"`` (default) runs in-process
-        at one effective job and on the zero-copy shared-memory pool
-        otherwise; ``"in-process"``, ``"process-pool"`` and
-        ``"shared-memory"`` force a substrate.  Results are bit-identical
-        under every backend.
     """
 
     accubench: AccubenchConfig = field(default_factory=AccubenchConfig)
@@ -86,14 +79,10 @@ class CampaignConfig:
     monsoon_voltage: Optional[float] = None
     root_seed: int = DEFAULT_ROOT_SEED
     jobs: int = 1
-    backend: str = "auto"
 
     def __post_init__(self) -> None:
-        from repro.core.backends import validate_backend
-
         if self.jobs < 0:
             raise ConfigurationError("jobs must be non-negative (0 = all cores)")
-        validate_backend(self.backend)
         require_finite(
             "CampaignConfig",
             ambient_c=self.ambient_c,
@@ -217,14 +206,7 @@ class CampaignRunner:
         tasks = self._fleet_tasks(
             fleet, experiment, resolved, ambient_c=ambient_c, iterations=iterations
         )
-        results = tuple(
-            run_tasks(
-                tasks,
-                resolved,
-                progress=self.progress,
-                backend=self.config.backend,
-            )
-        )
+        results = tuple(run_tasks(tasks, resolved, progress=self.progress))
         return ExperimentResult(model=model, workload=experiment.name, devices=results)
 
     def run_model(
@@ -261,7 +243,7 @@ class CampaignRunner:
         """The whole Table II study: every model, both workloads.
 
         With ``jobs > 1`` every (model, unit, workload) in the study is one
-        work item in a single process-pool dispatch.
+        work item in a single pool dispatch.
         """
         from repro.device.catalog import DEVICE_NAMES, device_spec as lookup
 
@@ -387,9 +369,7 @@ class CampaignRunner:
             fleet = self._build_fleet(model, None, None)
             counts.append(len(fleet))
             tasks.extend(self._fleet_tasks(fleet, experiment, jobs))
-        results = run_tasks(
-            tasks, jobs, progress=self.progress, backend=self.config.backend
-        )
+        results = run_tasks(tasks, jobs, progress=self.progress)
         experiments: List[ExperimentResult] = []
         cursor = 0
         for (model, experiment), count in zip(plan, counts):

@@ -175,12 +175,11 @@ def format_summary(source: MetricsSource) -> str:
         shm = transport.get("transport.shm_bytes", 0.0)
         tasks = transport.get("transport.task_pickle_bytes", 0.0)
         attached = int(transport.get("transport.traces_attached", 0.0))
-        copied = int(transport.get("transport.traces_copied", 0.0))
         lines.append(f"  pickled bytes        {pickled:,.0f}")
         if tasks:
             lines.append(f"  task pickle bytes    {tasks:,.0f}")
         lines.append(f"  shared-memory bytes  {shm:,.0f}")
-        lines.append(f"  traces               {attached} attached, {copied} copied")
+        lines.append(f"  traces attached      {attached}")
         if shm + pickled > 0:
             lines.append(
                 f"  zero-copy fraction   {shm / (shm + pickled):.1%}"

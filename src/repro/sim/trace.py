@@ -100,8 +100,8 @@ class Trace:
 
         The attach half of zero-copy result transport: ``samples`` may be a
         view into memory the trace does not allocate (a shared-memory
-        segment, a memmapped spill file), and ``owner`` is whatever object
-        must stay alive for that memory to remain mapped — the trace holds
+        segment), and ``owner`` is whatever object must stay alive for
+        that memory to remain mapped — the trace holds
         it until the buffer is next grown or the trace is collected.  The
         block is adopted as-is (no copy); rows must already be in strictly
         increasing time order, which transported traces are by construction.
@@ -337,6 +337,6 @@ class Trace:
         grown[: self._size] = self._buffer[: self._size]
         self._buffer = grown
         # Growth copies the samples onto the heap, so a foreign buffer
-        # (shared-memory segment, spill memmap) can be released now.
+        # (a shared-memory segment) can be released now.
         self._owner = None
         return grown

@@ -55,6 +55,10 @@ class TestPairings:
         pairing = jobs_pairing(tiny_base(), 2)
         assert pairing.jobs_a == 1 and pairing.jobs_b == 2
         assert pairing.spec is EXACT_SPEC
+        # Traces kept and diffed, so the pool's transport is gated too.
+        assert pairing.compare_traces
+        assert pairing.config_a.accubench.keep_traces
+        assert pairing.config_b.accubench.keep_traces
 
     def test_jobs_pairing_rejects_serial_vs_serial(self):
         with pytest.raises(CheckError):
@@ -72,10 +76,6 @@ class TestPairings:
             "batch-memory-bound",
             "batch-skin-throttle",
             "batch-mixed-fleet",
-            "backend-in-process-vs-process-pool-j2",
-            "backend-in-process-vs-shared-memory-j1",
-            "backend-in-process-vs-shared-memory-j2",
-            "backend-process-pool-vs-shared-memory-j4",
         ]
 
     def test_invariants_pairing_arms_both_sides(self):
@@ -112,8 +112,9 @@ class TestRunPairing:
     def test_jobs_pairing_passes_and_counts_fields(self):
         report = run_pairing(jobs_pairing(tiny_base(), 2), [MODEL], iterations=1)
         assert report.passed
-        # 4 units x 1 iteration x 7 numeric result fields.
-        assert report.compared_fields == 28
+        # 4 units x 1 iteration x 7 numeric result fields, plus the
+        # 4 kept traces.
+        assert report.compared_fields == 32
         assert "serial vs jobs=2" in report.render()
 
     def test_solver_pairing_passes_within_spec(self):

@@ -4,27 +4,27 @@ Monkeypatches a small systematic bias into the exact propagator and
 asserts the euler-vs-expm differential pairing reports the divergence.
 A second mutant biases the *batched* engine's power path and asserts the
 serial-vs-batched pairing catches it.  Runs serial (jobs=1) on both
-sides — a monkeypatch does not cross process-pool boundaries.
+sides — a monkeypatch does not cross worker-process boundaries.
 
 The scenario pairings that gate the lifted batch-eligibility
 restrictions get mutants of their own: a biased batched skin-throttle
 state machine, a biased memory-bounded roofline share, and a biased
 energy-conservation predicate (shared by the serial and batched
 invariant observers) must each be flagged by the pairing (or checker)
-that claims to guard it.  The execution-backend pairings get a
-transport mutant: a corrupted sample in the shared-memory attach path
-must be flagged by the trace-byte comparison.
+that claims to guard it.  The traced jobs pairing gets a transport
+mutant: a corrupted sample in the shared-memory attach path must be
+flagged by the trace-byte comparison.
 """
 
 import pytest
 
 from repro.check.differential import (
-    backend_pairing,
     batch_invariants_pairing,
     batch_memory_bound_pairing,
     batch_pairing,
     batch_skin_throttle_pairing,
     default_differential_config,
+    jobs_pairing,
     run_pairing,
     solver_pairing,
 )
@@ -164,7 +164,7 @@ class TestMutationDetection:
         # Flip one sample value as the shared-memory transport attaches a
         # trace in the parent.  Every scalar result field still agrees
         # (they were computed in the worker, before transport), so only
-        # the backend pairing's trace-byte comparison can catch it —
+        # the jobs pairing's trace-byte comparison can catch it —
         # proving that gate is live.  The seam runs parent-side, which is
         # why a plain monkeypatch reaches it despite the worker pool.
         import repro.core.backends as backends
@@ -177,15 +177,9 @@ class TestMutationDetection:
             return original(channels, samples, phases, open_phase, owner)
 
         monkeypatch.setattr(backends, "_attach_trace", corrupted)
-        report = run_pairing(
-            backend_pairing(
-                tiny_base(), "in-process", "shared-memory", jobs_a=1, jobs_b=2
-            ),
-            [MODEL],
-            iterations=1,
-        )
+        report = run_pairing(jobs_pairing(tiny_base(), 2), [MODEL], iterations=1)
         assert not report.passed, (
-            "the backend pairing failed to flag a corrupted shared-memory "
+            "the jobs pairing failed to flag a corrupted shared-memory "
             "trace attach"
         )
         assert all("trace" in d.context for d in report.divergences), [
@@ -193,13 +187,9 @@ class TestMutationDetection:
         ]
 
     def test_unmutated_backend_pairing_passes(self):
-        report = run_pairing(
-            backend_pairing(
-                tiny_base(), "in-process", "shared-memory", jobs_a=1, jobs_b=2
-            ),
-            [MODEL],
-            iterations=1,
-        )
+        # The traced jobs pairing is the backend pairing: in-process on
+        # one side, the shared-memory pool on the other.
+        report = run_pairing(jobs_pairing(tiny_base(), 2), [MODEL], iterations=1)
         assert report.passed, report.render()
 
     def test_biased_vectorized_invariant_integral_is_flagged(self, monkeypatch):

@@ -1,32 +1,34 @@
-"""Pluggable execution backends: parity, windows, transport, failures.
+"""Execution backends: parity, windows, transport, failures.
 
-The headline contract (gated unconditionally, not env-gated): every
-backend at every worker count produces bit-identical
+The headline contract (gated unconditionally, not env-gated): both
+backends at every worker count produce bit-identical
 :class:`DeviceResult` lists — trace sample bytes and phase annotations
 included — because *where* a task ran and *how* its results travelled
 must never be observable in the results.  Around that sit the plumbing
-contracts: lazy task iterables are pulled through a bounded in-flight
-window, transport telemetry counts what actually moved, shared-memory
-segments and spill files never leak (success, abort or discard), and a
-worker exception surfaces in the parent as itself, chained from
-:class:`BackendError` with the worker traceback.
+contracts: the job count alone picks the backend, lazy task iterables
+are pulled through a bounded in-flight window, transport telemetry
+counts what actually moved, shared-memory segments never leak (success,
+abort, discard or a killed worker), and a worker exception surfaces in
+the parent as itself, chained from :class:`BackendError` with the worker
+traceback.
 """
 
 import gc
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
+import repro
 from repro.core.backends import (
-    BACKEND_NAMES,
     InProcessBackend,
-    ProcessPoolBackend,
     SharedMemoryBackend,
+    backend_for,
     default_window,
-    resolve_backend,
-    validate_backend,
 )
 from repro.core.config import AccubenchConfig
 from repro.core.experiments import unconstrained
@@ -39,8 +41,8 @@ from repro.obs.metrics import MetricsRegistry, use_registry
 
 MODEL = "Nexus 5"
 
-#: Every concrete backend name (``auto`` resolves to one of these).
-CONCRETE = ("in-process", "process-pool", "shared-memory")
+#: Both executors, by the name each parity case is reported under.
+BACKENDS = {"in-process": InProcessBackend, "shared-memory": SharedMemoryBackend}
 
 
 def traced_config() -> CampaignConfig:
@@ -85,21 +87,28 @@ def digest(results):
 
 @pytest.fixture(scope="module")
 def reference():
-    return digest(run_tasks(fleet_tasks(), jobs=1, backend="in-process"))
+    return digest(run_tasks(fleet_tasks(), jobs=1))
 
 
 class TestParity:
-    """Bit-identical results for any backend and any jobs count."""
+    """Bit-identical results for either backend and any jobs count."""
 
-    @pytest.mark.parametrize("backend", CONCRETE)
+    @pytest.mark.parametrize("backend", list(BACKENDS))
     @pytest.mark.parametrize("jobs", [1, 2, 4])
     def test_results_identical_with_trace_bytes(
         self, backend, jobs, reference
     ):
-        results = run_tasks(fleet_tasks(), jobs=jobs, backend=backend)
+        # A forced instance: shared memory at one job still runs a
+        # one-worker pool with the full segment transport.
+        engine = BACKENDS[backend]()
+        try:
+            results = run_tasks(fleet_tasks(), jobs=jobs, backend=engine)
+        finally:
+            engine.close()
         assert digest(results) == reference
 
     def test_auto_matches_explicit(self, reference):
+        # The backend picked from the job count gives the forced result.
         assert digest(run_tasks(fleet_tasks(), jobs=2)) == reference
 
     def test_caller_owned_backend_survives_dispatches(self, reference):
@@ -113,7 +122,7 @@ class TestParity:
 
 
 class TestWindow:
-    """Lazy iterables are pulled at most ``window`` ahead of completions."""
+    """Lazy iterables are pulled at most a window ahead of completions."""
 
     def test_shared_memory_backend_bounds_drawn_tasks(self):
         tasks = fleet_tasks(count=6)
@@ -126,10 +135,10 @@ class TestWindow:
 
         completed = 0
         with SharedMemoryBackend() as backend:
-            for _index, _payload in backend.execute(lazy(), 2, window=2):
+            for _index, _payload in backend.execute(lazy(), 2):
                 completed += 1
                 # At most window tasks beyond the completions consumed.
-                assert len(drawn) <= completed + 2
+                assert len(drawn) <= completed + default_window(2)
         assert completed == len(tasks)
 
     def test_in_process_backend_draws_one_at_a_time(self):
@@ -148,33 +157,28 @@ class TestWindow:
         assert completed == len(tasks)
 
 
-class TestSpill:
-    def test_zero_budget_spills_and_leaves_no_files(
-        self, tmp_path, reference
-    ):
-        # A zero RSS budget forces every trace block through the memmapped
-        # spill path; results stay bit-identical and the spill files are
-        # unlinked as soon as the parent maps them.
-        backend = SharedMemoryBackend(rss_budget_mb=0, spill_dir=str(tmp_path))
-        with backend:
-            results = run_tasks(fleet_tasks(), jobs=2, backend=backend)
-        assert digest(results) == reference
-        assert list(tmp_path.glob("*.traces")) == []
-
+class TestSegmentLifetime:
     def test_live_attached_bytes_follow_trace_lifetime(self):
-        backend = SharedMemoryBackend()
-        with backend:
+        # Attached traces keep their segment mapped; once the last trace
+        # viewing it is collected, the parent's mapping is closed.
+        with SharedMemoryBackend() as backend:
             results = run_tasks(fleet_tasks(count=2), jobs=2, backend=backend)
-            assert backend.live_attached_bytes > 0
+            segments = {
+                id(iteration.trace._owner): iteration.trace._owner._segment
+                for result in results
+                for iteration in result.iterations
+            }
+            assert segments
+            assert all(segment.buf is not None for segment in segments.values())
             del results
             gc.collect()
-            assert backend.live_attached_bytes == 0
+            assert all(segment.buf is None for segment in segments.values())
 
 
 class TestTransportTelemetry:
-    def run_with_registry(self, backend):
+    def run_with_registry(self):
         with use_registry(MetricsRegistry(enabled=True)) as registry:
-            results = run_tasks(fleet_tasks(), jobs=2, backend=backend)
+            results = run_tasks(fleet_tasks(), jobs=2)
         trace_count = sum(
             1
             for result in results
@@ -184,19 +188,11 @@ class TestTransportTelemetry:
         return registry.snapshot()["counters"], trace_count
 
     def test_shared_memory_attaches_instead_of_copying(self):
-        counters, traces = self.run_with_registry("shared-memory")
+        counters, traces = self.run_with_registry()
         assert counters["transport.traces_attached"] == traces
         assert counters["transport.shm_bytes"] > 0
-        assert counters.get("transport.traces_copied", 0) == 0
         # (The pickled-vs-shm byte *ratio* is a trace-heavy workload
         # claim; benchmarks/test_perf_backend.py asserts it at scale.)
-
-    def test_process_pool_copies_every_trace(self):
-        counters, traces = self.run_with_registry("process-pool")
-        assert counters["transport.traces_copied"] == traces
-        assert counters["transport.pickle_bytes"] > 0
-        assert counters.get("transport.shm_bytes", 0) == 0
-        assert counters.get("transport.traces_attached", 0) == 0
 
 
 class TestFailures:
@@ -208,9 +204,76 @@ class TestFailures:
         # exception type, chained from BackendError with the traceback.
         bad = CrowdCohortTask(cohort_index=0, config=CrowdConfig(), users=())
         with pytest.raises(ConfigurationError) as info:
-            run_tasks([bad, bad], jobs=2, backend="shared-memory")
+            run_tasks([bad, bad], jobs=2)
         assert isinstance(info.value.__cause__, BackendError)
         assert "worker traceback" in str(info.value.__cause__)
+
+    def test_killed_worker_raises_backend_error_and_leaks_nothing(self):
+        # SIGKILL one pool worker mid-task: the dispatch must end in a
+        # typed BackendError with every child reaped and no segment left
+        # in /dev/shm.  The task body is replaced before the pool forks
+        # (the module-global seam both backends call), so the worker
+        # blocks until killed.  A fresh interpreter under a hard timeout
+        # turns a hang into a failure instead of a stalled suite.
+        if not os.path.isdir("/dev/shm"):
+            pytest.skip("no /dev/shm on this platform")
+        script = textwrap.dedent(
+            """
+            import json, multiprocessing, os, signal, threading, time
+            from repro.core import backends
+            from repro.core.experiments import unconstrained
+            from repro.core.parallel import DeviceTask, run_tasks
+            from repro.core.runner import CampaignConfig
+            from repro.device.fleet import synthetic_fleet
+            from repro.errors import BackendError
+
+            started = multiprocessing.Event()
+            victim = multiprocessing.Value("i", 0)
+
+            def blocking(task, collect_metrics=False):
+                victim.value = os.getpid()
+                started.set()
+                time.sleep(600)
+
+            def kill_one():
+                if started.wait(60):
+                    os.kill(victim.value, signal.SIGKILL)
+
+            backends.execute_task_payload = blocking
+            tasks = [
+                DeviceTask(device, unconstrained(), CampaignConfig())
+                for device in synthetic_fleet("Nexus 5", count=2)
+            ]
+            before = {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+            threading.Thread(target=kill_one, daemon=True).start()
+            try:
+                run_tasks(tasks, jobs=2)
+                error = None
+            except BackendError:
+                error = "BackendError"
+            after = {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+            print(json.dumps({
+                "error": error,
+                "children": [c.pid for c in multiprocessing.active_children()],
+                "leaked": sorted(after - before),
+            }))
+            """
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        verdict = json.loads(done.stdout.strip().splitlines()[-1])
+        assert verdict == {"error": "BackendError", "children": [], "leaked": []}
 
     def test_abandoned_stream_tears_down_and_pool_rebuilds(self):
         # A consumer that walks away mid-stream (upstream exception)
@@ -234,30 +297,9 @@ class TestFailures:
 
 
 class TestResolution:
-    def test_backend_names(self):
-        assert BACKEND_NAMES == (
-            "auto",
-            "in-process",
-            "process-pool",
-            "shared-memory",
-        )
-
-    def test_validate_returns_known_names(self):
-        for name in BACKEND_NAMES:
-            assert validate_backend(name) == name
-        with pytest.raises(ConfigurationError):
-            validate_backend("bogus")
-
     def test_auto_resolution(self):
-        assert isinstance(resolve_backend("auto", 1), InProcessBackend)
-        with resolve_backend("auto", 2) as parallel:
-            assert isinstance(parallel, SharedMemoryBackend)
-        with resolve_backend("process-pool", 2) as pool:
-            assert isinstance(pool, ProcessPoolBackend)
-        # Explicit names are honored even at one job: the parity
-        # pairings rely on a 1-worker pool with full transport.
-        with resolve_backend("shared-memory", 1) as shm:
-            assert isinstance(shm, SharedMemoryBackend)
+        assert isinstance(backend_for(1), InProcessBackend)
+        assert isinstance(backend_for(2), SharedMemoryBackend)
 
     def test_default_window_adds_prefetch(self):
         assert default_window(1) == 3
@@ -265,9 +307,9 @@ class TestResolution:
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
-            CampaignConfig(backend="bogus")
+            CampaignConfig(jobs=-1)
         with pytest.raises(ConfigurationError):
-            run_tasks([], jobs=1, backend="bogus")
-        assert CampaignConfig(backend="shared-memory").backend == (
-            "shared-memory"
-        )
+            run_tasks([], jobs=0)
+        for backend in BACKENDS.values():
+            with pytest.raises(ConfigurationError):
+                next(backend().execute(iter(fleet_tasks(count=1)), 0))

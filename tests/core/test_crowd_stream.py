@@ -255,40 +255,36 @@ class TestMixedModelResume:
 
 
 class TestExecutionBackends:
-    """The pluggable backend never shows in crowd results or checkpoints."""
+    """The job count picks the backend; it never shows in crowd results
+    or checkpoints."""
 
     def test_backend_does_not_change_results(self, micro_config, full_run):
+        # jobs=1 runs cohorts in-process (the full_run reference); more
+        # jobs run them on the shared-memory pool.
         result, _ = full_run
-        for backend in ("in-process", "process-pool", "shared-memory"):
+        for jobs in (2, 4):
             run = run_streaming_crowd_study(
-                micro_config, cohort_size=3, jobs=2, backend=backend
+                micro_config, cohort_size=3, jobs=jobs
             )
-            assert run.to_dict() == result.to_dict(), backend
-
-    def test_config_backend_drives_execution(self, micro_config, full_run):
-        result, _ = full_run
-        configured = replace(micro_config, backend="shared-memory")
-        run = run_streaming_crowd_study(configured, cohort_size=3, jobs=2)
-        assert run.to_dict() == result.to_dict()
+            assert run.to_dict() == result.to_dict(), jobs
 
     def test_kill_and_resume_on_shared_memory_backend(
         self, micro_config, full_run, tmp_path
     ):
-        # Interrupt a shared-memory campaign mid-flight (the checkpoint
-        # idiom for a kill: stop after 2 folded cohorts, worker pool torn
-        # down with completions still pending) and resume on the same
-        # backend — bit-identical to the uninterrupted serial reference.
+        # Interrupt a pooled campaign mid-flight (the checkpoint idiom
+        # for a kill: stop after 2 folded cohorts, worker pool torn down
+        # with completions still pending) and resume on the pool again —
+        # bit-identical to the uninterrupted in-process reference.
         result, _ = full_run
         path = str(tmp_path / "crowd-shm.ckpt")
         partial = run_streaming_crowd_study(
             micro_config, cohort_size=3, checkpoint_path=path,
-            stop_after_cohorts=2, jobs=2, backend="shared-memory",
+            stop_after_cohorts=2, jobs=2,
         )
         assert not partial.complete
         assert partial.cohorts_completed == 2
         resumed = run_streaming_crowd_study(
-            micro_config, cohort_size=3, checkpoint_path=path,
-            jobs=2, backend="shared-memory",
+            micro_config, cohort_size=3, checkpoint_path=path, jobs=2,
         )
         assert resumed.complete
         assert resumed.resumed_from_cohort == 2
@@ -298,9 +294,9 @@ class TestExecutionBackends:
     def test_checkpoint_resumes_across_backends(
         self, micro_config, full_run, tmp_path
     ):
-        # The backend is excluded from the checkpoint fingerprint: a
-        # checkpoint written under the default backend resumes under
-        # shared-memory, because transport cannot change the results.
+        # Jobs are not part of the checkpoint fingerprint: a checkpoint
+        # written in-process (jobs=1) resumes on the shared-memory pool
+        # (jobs=2), because transport cannot change the results.
         result, _ = full_run
         path = str(tmp_path / "cross.ckpt")
         run_streaming_crowd_study(
@@ -308,8 +304,7 @@ class TestExecutionBackends:
             stop_after_cohorts=1,
         )
         resumed = run_streaming_crowd_study(
-            micro_config, cohort_size=3, checkpoint_path=path,
-            jobs=2, backend="shared-memory",
+            micro_config, cohort_size=3, checkpoint_path=path, jobs=2,
         )
         assert resumed.complete
         assert resumed.resumed_from_cohort == 1
@@ -317,10 +312,25 @@ class TestExecutionBackends:
         assert resumed.to_dict() == expected
 
     def test_rejects_unknown_backend(self, micro_config):
+        # The job count is the only executor setting: fewer than one job
+        # is rejected, and no backend name is accepted anywhere.
         with pytest.raises(ConfigurationError):
-            run_streaming_crowd_study(micro_config, backend="bogus")
-        with pytest.raises(ConfigurationError):
-            CrowdConfig(backend="bogus")
+            run_streaming_crowd_study(micro_config, jobs=0)
+        with pytest.raises(TypeError):
+            run_streaming_crowd_study(micro_config, backend="shared-memory")
+        with pytest.raises(TypeError):
+            CrowdConfig(backend="shared-memory")
+
+    def test_fingerprint_unchanged_by_backend_removal(self, micro_config):
+        # Pinned while CrowdConfig still carried a ``backend`` field (which
+        # the fingerprint dropped): checkpoints written before the field
+        # was deleted must keep resuming.
+        fingerprint = crowd_stream._config_fingerprint(
+            micro_config, 3, (22.0, 30.0), 0.9, 1024
+        )
+        assert fingerprint == (
+            "7ef32a40a67afed6804ccc9121c37f168b779cd43d5f238f7a5cb3a9533d853f"
+        )
 
 
 class TestDropAccounting:
