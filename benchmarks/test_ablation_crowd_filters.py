@@ -7,9 +7,11 @@ confound silicon with room temperature; filtering to an
 estimated-ambient band recovers the silicon ranking.
 """
 
+from dataclasses import replace
+
+from repro.check.oracles import run_crowd_study
 from repro.core.crowd import (
     CrowdConfig,
-    run_crowd_study,
     silicon_ranking_quality,
     spearman_rank_correlation,
     strict_filters,
@@ -20,7 +22,14 @@ USERS = 36
 
 def test_ablation_crowd_strict_filters(benchmark):
     def run():
-        config = CrowdConfig(user_count=USERS, root_seed=5)
+        # The serial oracle on the Euler solver this ablation was
+        # calibrated with (the crowd's default protocol is expm).
+        default = CrowdConfig()
+        config = CrowdConfig(
+            user_count=USERS,
+            root_seed=5,
+            protocol=replace(default.protocol, thermal_solver="euler"),
+        )
         submissions = run_crowd_study(config)
         filtered = strict_filters(submissions, ambient_band_c=(22.0, 30.0))
         return submissions, filtered

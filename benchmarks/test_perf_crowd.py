@@ -5,11 +5,12 @@ the §VI field study into fixed-size cohorts advanced through the batched
 engine must beat the serial per-user reference by a wide margin while
 keeping memory flat in the user count.  Four benches:
 
-* interleaved A/B at N=256 — serial :func:`run_crowd_study` vs streamed
-  :func:`run_streaming_crowd_study` on the identical configuration,
-  best-of per arm.  Score agreement gates unconditionally (a fast
-  stream that drifts is a bug, not a win); the speedup floor is
-  asserted unless ``REPRO_BENCH_SKIP_RATE_ASSERT`` is set.
+* interleaved A/B at N=256 — the serial oracle :func:`run_crowd_study`
+  vs streamed :func:`run_streaming_crowd_study` on the identical
+  configuration, best-of per arm.  Score agreement gates
+  unconditionally (a fast stream that drifts is a bug, not a win); the
+  speedup floor is asserted unless ``REPRO_BENCH_SKIP_RATE_ASSERT`` is
+  set.
 * memory scaling — tracemalloc peak at 2 048 vs 8 192 users with the
   same cohort width must stay flat: O(cohort + estimator), not O(users).
 * the 10⁵-user headline — wall-clock, users/sec and peak RSS, recorded
@@ -32,7 +33,7 @@ import pytest
 
 from benchmarks.test_perf_campaign import RETRACT, _merge_results
 from repro.check.differential import default_crowd_differential_config
-from repro.core.crowd import run_crowd_study
+from repro.check.oracles import run_crowd_study
 from repro.core.crowd_stream import run_streaming_crowd_study
 
 RESULTS_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_crowd.json")

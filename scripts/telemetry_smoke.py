@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Live-telemetry smoke test: scrape a streamed crowd run over HTTP.
 
-Launches the real CLI (``repro.cli crowd --stream --serve 0``) as a
+Launches the real CLI (``repro.cli crowd --serve 0``) as a
 subprocess, discovers the ephemeral endpoint from its stderr banner,
 then — while the campaign is still folding cohorts — polls ``/status``
 and ``/metrics`` like an external monitoring agent would:
@@ -96,7 +96,7 @@ def main(argv=None) -> int:
     command = [
         sys.executable, "-m", "repro.cli", "crowd",
         "--users", str(args.users), "--scale", str(args.scale),
-        "--seed", "11", "--stream", "--cohort-size", str(args.cohort_size),
+        "--seed", "11", "--cohort-size", str(args.cohort_size),
         "--serve", "0", "--json", summary_path,
     ]
     print(f"launching: {' '.join(command)}")

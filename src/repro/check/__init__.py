@@ -15,6 +15,11 @@ machine-checked:
     An A/B harness running the same scenario under paired configurations
     (euler↔expm, serial↔parallel, fast-forward on↔off) and comparing
     results against declarative per-field tolerance specs.
+:mod:`repro.check.oracles`
+    Serial reference implementations kept only to check production
+    paths against: :func:`~repro.check.oracles.run_crowd_study`, the
+    one-user-at-a-time §VI crowd loop the streamed cohort engine
+    replays.
 :mod:`repro.check.golden`
     A golden-result store (``tests/golden/*.json``) with load/compare/
     regenerate APIs, gating CI on silent drift.
@@ -65,6 +70,7 @@ from repro.check.invariants import (
     TraceTimeMonotone,
     default_invariants,
 )
+from repro.check.oracles import CrowdStudyResult, run_crowd_study
 from repro.check.telemetry import (
     TELEMETRY_SPEC,
     telemetry_parity_report,
@@ -103,6 +109,8 @@ __all__ = [
     "ThrottleConsistency",
     "TraceTimeMonotone",
     "default_invariants",
+    "CrowdStudyResult",
+    "run_crowd_study",
     "TELEMETRY_SPEC",
     "telemetry_parity_report",
 ]

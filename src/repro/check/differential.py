@@ -855,7 +855,7 @@ def crowd_stream_pairing_report(
 ) -> DifferentialReport:
     """Streamed crowd campaign vs the serial §VI reference, one report.
 
-    Runs :func:`~repro.core.crowd.run_crowd_study` and
+    Runs the serial oracle :func:`~repro.check.oracles.run_crowd_study` and
     :func:`~repro.core.crowd_stream.run_streaming_crowd_study` on the same
     configuration and diffs (a) every submission field pair, in population
     order, (b) the drop accounting, and (c) every streaming-estimator
@@ -865,8 +865,8 @@ def crowd_stream_pairing_report(
     """
     import numpy as np
 
+    from repro.check.oracles import run_crowd_study
     from repro.core.crowd import (
-        run_crowd_study,
         silicon_ranking_quality,
         spearman_rank_correlation,
         strict_filters,

@@ -10,7 +10,7 @@
     repro-bench report m.json
     repro-bench check --differential --invariants
     repro-bench check --update-golden
-    repro-bench crowd --users 2048 --stream --serve 9100 --checkpoint c.json
+    repro-bench crowd --users 2048 --serve 9100 --checkpoint c.json
     repro-bench watch http://127.0.0.1:9100
 
 Every command prints a human-readable report; ``run-fleet`` can also dump
@@ -128,29 +128,23 @@ def build_parser() -> argparse.ArgumentParser:
     crowd.add_argument("--scale", type=float, default=1.0)
     crowd.add_argument("--seed", type=int, default=DEFAULT_ROOT_SEED)
     crowd.add_argument(
-        "--stream",
-        action="store_true",
-        help="run the cohort-batched streaming engine (O(cohort) memory, "
-        "expm solver) instead of the serial per-user reference",
-    )
-    crowd.add_argument(
         "--cohort-size",
         type=int,
         default=256,
-        help="users advanced per lock-step batch (streamed mode)",
+        help="users advanced per lock-step batch",
     )
     crowd.add_argument(
         "--jobs",
         type=int,
         default=1,
-        help="worker processes for cohort execution (streamed mode)",
+        help="worker processes for cohort execution",
     )
     crowd.add_argument(
         "--checkpoint",
         metavar="PATH",
         default=None,
         help="checkpoint file: resume from it if present, update it as "
-        "cohorts complete (implies --stream)",
+        "cohorts complete",
     )
     crowd.add_argument(
         "--checkpoint-every",
@@ -186,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PORT",
         default=None,
         help="serve live telemetry over HTTP while the campaign runs "
-        "(streamed mode; 0 picks a free port)",
+        "(0 picks a free port)",
     )
     crowd.add_argument(
         "--strict-watchdog",
@@ -498,19 +492,16 @@ def _cmd_run_fleet(args: argparse.Namespace) -> int:
 
 
 def _cmd_table2(args: argparse.Namespace) -> int:
-    runner = _runner(args)
-    models = args.models if args.models else list(DEVICE_NAMES)
-    rows = {}
-    for model in models:
-        spec = device_spec(model)
-        perf = runner.run_fleet(model, unconstrained())
-        energy = runner.run_fleet(model, fixed_frequency(spec))
-        rows[model] = (
-            spec.soc_name,
+    study = _runner(args).run_study(args.models or None)
+    rows = {
+        model: (
+            device_spec(model).soc_name,
             len(perf.devices),
             perf.performance_variation,
             energy.energy_variation,
         )
+        for model, (perf, energy) in study.items()
+    }
     print(render_table2(rows))
     return 0
 
@@ -537,49 +528,6 @@ def _cmd_estimate_ambient(args: argparse.Namespace) -> int:
 
 
 def _cmd_crowd(args: argparse.Namespace) -> int:
-    from repro.core.crowd import (
-        CrowdConfig,
-        run_crowd_study,
-        silicon_ranking_quality,
-        strict_filters,
-    )
-
-    protocol = CrowdConfig().protocol.scaled(args.scale)
-    if args.stream or args.checkpoint:
-        return _cmd_crowd_stream(args, protocol)
-    config = CrowdConfig(
-        model=args.model,
-        models=tuple(args.models) if args.models else (),
-        user_count=args.users,
-        protocol=protocol,
-        root_seed=args.seed,
-    )
-    result = run_crowd_study(config)
-    submissions = list(result)
-    print(f"{len(submissions)} submissions from {args.users} users")
-    if result.dropped_total:
-        reasons = ", ".join(
-            f"{reason}: {count}"
-            for reason, count in sorted(result.dropped.items())
-        )
-        print(f"dropped {result.dropped_total} users ({reasons})")
-    raw_quality = silicon_ranking_quality(submissions)
-    filtered = strict_filters(submissions)
-    print(f"raw ranking quality (Spearman ρ):      {raw_quality:+.2f}")
-    if len(filtered) >= 3:
-        filtered_quality = silicon_ranking_quality(filtered)
-        print(
-            f"after strict filters ({len(filtered)} kept):      "
-            f"{filtered_quality:+.2f}"
-        )
-    else:
-        print(f"after strict filters: only {len(filtered)} kept — need ≥3")
-    return 0
-
-
-def _cmd_crowd_stream(args: argparse.Namespace, protocol) -> int:
-    from dataclasses import replace as dc_replace
-
     from repro.core.crowd import CrowdConfig
     from repro.core.crowd_stream import run_streaming_crowd_study
     from repro.obs import (
@@ -591,9 +539,9 @@ def _cmd_crowd_stream(args: argparse.Namespace, protocol) -> int:
 
     config = CrowdConfig(
         model=args.model,
-        models=tuple(getattr(args, "models", None) or ()),
+        models=tuple(args.models or ()),
         user_count=args.users,
-        protocol=dc_replace(protocol, thermal_solver="expm"),
+        protocol=CrowdConfig().protocol.scaled(args.scale),
         root_seed=args.seed,
     )
     bus = ProgressBus()
@@ -795,7 +743,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     )
 
     # Sniff the document: report understands metrics files, crowd-stream
-    # summaries (--json from crowd --stream) and run manifests.  Unreadable
+    # summaries (--json from crowd) and run manifests.  Unreadable
     # files fall through to read_metrics, whose errors are ReproErrors.
     kind = None
     try:

@@ -41,12 +41,10 @@ from repro.core.comparison import (
 )
 from repro.core.crowd import (
     CrowdConfig,
-    CrowdStudyResult,
     Submission,
     UserSample,
     average_ranks,
     passes_strict_filters,
-    run_crowd_study,
     silicon_ranking_quality,
     spearman_rank_correlation,
     strict_filters,
@@ -109,7 +107,6 @@ __all__ = [
     "CrowdConfig",
     "CrowdEstimators",
     "CrowdStreamResult",
-    "CrowdStudyResult",
     "GenerationComparison",
     "Submission",
     "UserSample",
@@ -160,7 +157,6 @@ __all__ = [
     "rank_units",
     "relative_standard_deviation",
     "relative_to_first",
-    "run_crowd_study",
     "run_streaming_crowd_study",
     "run_study",
     "sd805_regression",

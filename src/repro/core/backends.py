@@ -1,8 +1,8 @@
 """Execution backends: in-process at one job, a shared-memory pool above.
 
-:func:`repro.core.parallel.run_tasks` and the streamed crowd both take
-their executor from :func:`backend_for`, and the effective job count
-alone decides it:
+:func:`repro.core.parallel.dispatch`, the one loop fleets, studies and
+the streamed crowd share, takes its executor from :func:`backend_for`,
+and the effective job count alone decides it:
 
 :class:`InProcessBackend`
     Runs tasks sequentially in the caller's process — byte-for-byte the

@@ -18,32 +18,29 @@ This module simulates exactly that pipeline:
    fits) and measure how well the filtered ranking recovers the true
    silicon ranking.
 
-:func:`run_crowd_study` is the serial reference implementation — one user
-at a time through the per-unit engine.  The cohort planner primitives it
-is built from (:func:`draw_user_params`, :func:`plan_users`,
-:func:`crowd_fleet`) are shared with :mod:`repro.core.crowd_stream`, the
-cohort-batched streaming engine that scales the same campaign to millions
-of users.
+This module holds the campaign's configuration, the cohort planner
+(:func:`draw_user_params`, :func:`plan_users`, :func:`crowd_fleet`,
+:func:`prepare_field_device`), the submission record, the strict filters
+and the rank statistics.  The campaign itself runs in
+:mod:`repro.core.crowd_stream`, the cohort-batched streaming engine; the
+serial one-user-at-a-time loop it is checked against is the oracle
+:func:`repro.check.oracles.run_crowd_study`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.ambient_estimation import AmbientEstimate, cooldown_probe
+from repro.core.ambient_estimation import AmbientEstimate
 from repro.core.config import AccubenchConfig
-from repro.core.experiments import unconstrained
-from repro.core.protocol import Accubench
 from repro.device.battery import Battery
 from repro.device.fleet import synthetic_fleet
 from repro.device.phone import Device
 from repro.errors import AnalysisError, ConfigurationError
-from repro.obs.metrics import default_registry
 from repro.rng import DEFAULT_ROOT_SEED, derive_stream
-from repro.thermal.ambient import ConstantAmbient
 
 #: Lot name shared by the serial and streamed crowd paths; unit serials
 #: (and therefore their silicon and noise streams) derive from it.
@@ -73,7 +70,8 @@ class CrowdConfig:
     charge_range:
         Uniform range of battery state-of-charge at run time.
     protocol:
-        The field app's (shortened) ACCUBENCH parameters.
+        The field app's (shortened) ACCUBENCH parameters, on the exact
+        ``expm`` solver the batched crowd engine requires.
     probe_heat_s / probe_observe_s:
         The ambient-probe cycle lengths.
     root_seed:
@@ -94,6 +92,7 @@ class CrowdConfig:
             iterations=1,
             dt=0.25,
             trace_decimation=20,
+            thermal_solver="expm",
         )
     )
     probe_heat_s: float = 90.0
@@ -171,7 +170,7 @@ def crowd_model_label(config: CrowdConfig) -> str:
 
 
 def crowd_param_stream(config: CrowdConfig) -> np.random.Generator:
-    """The population parameter stream ``run_crowd_study`` consumes.
+    """The population parameter stream the crowd planner consumes.
 
     Keyed by the single-model field regardless of ``models`` — user
     parameters (ambient, charge) are model-independent, and keeping the
@@ -275,105 +274,6 @@ def probe_drop_reason(error: AnalysisError) -> str:
     if "do not describe a decay" in text:
         return "no_clean_decay"
     return "probe_failed"
-
-
-class CrowdStudyResult(Sequence):
-    """Submissions plus the yield accounting a list silently discarded.
-
-    Behaves as a sequence of :class:`Submission` (indexing, iteration,
-    ``len``) for drop-in compatibility with the historical ``List``
-    return, and additionally exposes which users uploaded nothing and
-    why.
-    """
-
-    def __init__(
-        self,
-        submissions: Sequence[Submission],
-        dropped: Optional[Dict[str, int]] = None,
-        users: Optional[int] = None,
-    ) -> None:
-        self.submissions: Tuple[Submission, ...] = tuple(submissions)
-        #: Users whose probe produced nothing, keyed by drop reason.
-        self.dropped: Dict[str, int] = dict(dropped or {})
-        #: Participants simulated (submissions + drops).
-        self.users = (
-            users
-            if users is not None
-            else len(self.submissions) + sum(self.dropped.values())
-        )
-
-    @property
-    def dropped_total(self) -> int:
-        """Users who uploaded nothing."""
-        return sum(self.dropped.values())
-
-    def __len__(self) -> int:
-        return len(self.submissions)
-
-    def __getitem__(self, index):
-        return self.submissions[index]
-
-    def __iter__(self) -> Iterator[Submission]:
-        return iter(self.submissions)
-
-    def __repr__(self) -> str:
-        return (
-            f"CrowdStudyResult({len(self.submissions)} submissions, "
-            f"{self.dropped_total} dropped of {self.users} users)"
-        )
-
-
-def run_crowd_study(config: Optional[CrowdConfig] = None) -> CrowdStudyResult:
-    """Simulate the full §VI crowd campaign, one user at a time.
-
-    The serial reference path: exact but O(users) in both time and
-    memory.  Large populations should stream through
-    :func:`repro.core.crowd_stream.run_streaming_crowd_study`, which this
-    function's cohort-planner helpers also feed.
-    """
-    config = config if config is not None else CrowdConfig()
-    rng = crowd_param_stream(config)
-    fleet = crowd_fleet(config)
-    users = plan_users(config, rng, 0, config.user_count)
-    bench = Accubench(config.protocol)
-    registry = default_registry()
-    submissions = []
-    dropped: Dict[str, int] = {}
-    for device, user in zip(fleet, users):
-        prepare_field_device(device, user)
-        room = ConstantAmbient(user.ambient_c)
-        try:
-            estimate = cooldown_probe(
-                device,
-                room,
-                heat_s=config.probe_heat_s,
-                observe_s=config.probe_observe_s,
-                dt=config.protocol.dt,
-            )
-        except AnalysisError as error:
-            # An unusable decay (e.g. someone's balcony in the wind);
-            # the app uploads nothing — but the study should know how
-            # much of its population it lost, and to what.
-            reason = probe_drop_reason(error)
-            dropped[reason] = dropped.get(reason, 0) + 1
-            registry.counter(f"crowd.dropped.{reason}").inc()
-            continue
-        result = bench.run_iteration(device, unconstrained(), room=room)
-        submissions.append(
-            Submission(
-                serial=device.serial,
-                score=result.iterations_completed,
-                energy_j=result.energy_j,
-                ambient_estimate=estimate,
-                true_ambient_c=user.ambient_c,
-                true_leak_factor=device.profile.leak_factor,
-            )
-        )
-    registry.counter("crowd.users").add(config.user_count)
-    registry.counter("crowd.submissions").add(len(submissions))
-    return CrowdStudyResult(
-        submissions, dropped=dropped, users=config.user_count
-    )
 
 
 def strict_filters(

@@ -1,9 +1,8 @@
 """Streaming crowd campaigns: cohort-batched simulation at planet scale.
 
-:func:`repro.core.crowd.run_crowd_study` is exact but serial and
-accumulative — O(users) time through the per-unit engine and O(users)
-memory holding every :class:`Submission`.  This module runs the *same*
-campaign as a stream:
+This is the only crowd campaign the program runs: the §VI study of
+:mod:`repro.core.crowd`, simulated as a stream whose memory stays
+O(cohort) however many users take part:
 
 1. **Cohort planner** — users are materialized in fixed-size cohorts;
    a mixed-model population (``CrowdConfig.models``) assigns each user's
@@ -33,7 +32,8 @@ campaign as a stream:
 
 Submissions themselves are not retained — pass ``on_submission`` to
 observe them (the differential harness uses this to compare the stream
-against the serial reference at small N).
+against the serial per-user oracle,
+:func:`repro.check.oracles.run_crowd_study`, at small N).
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from repro.core.ambient_estimation import (
     DEFAULT_PROBE_SKIP_FRACTION,
     estimate_ambient,
 )
-from repro.core.backends import backend_for
 from repro.core.batch_runner import run_batch_iteration
 from repro.core.crowd import (
     CrowdConfig,
@@ -68,7 +67,7 @@ from repro.core.crowd import (
     probe_drop_reason,
 )
 from repro.core.experiments import unconstrained
-from repro.core.parallel import CrowdCohortTask
+from repro.core.parallel import CrowdCohortTask, dispatch
 from repro.core.streaming import (
     BinRecoveryCounter,
     QuantileBank,
@@ -140,8 +139,8 @@ def execute_cohort(
 ) -> CohortResult:
     """Run one cohort's probe + field ACCUBENCH pass through a BatchedWorld.
 
-    Mirrors the serial per-user pipeline in
-    :func:`repro.core.crowd.run_crowd_study` — reboot-and-soak, battery,
+    Mirrors the serial per-user oracle
+    :func:`repro.check.oracles.run_crowd_study` — reboot-and-soak, battery,
     heat/observe probe, then one protocol iteration — with every per-unit
     random draw taken from the same streams in the same order.  Users
     whose probe fit fails become drops (their unit still rides along in
@@ -547,8 +546,9 @@ def run_streaming_crowd_study(
     Parameters
     ----------
     config:
-        The campaign; its protocol must use the exact ``expm`` solver
-        with sleep fast-forward (the batched engine's requirements).
+        The campaign (default :class:`CrowdConfig`); its protocol must
+        use the exact ``expm`` solver with sleep fast-forward (the batched
+        engine's requirements, both on by default).
     cohort_size:
         Users advanced per lock-step batch.
     jobs:
@@ -591,20 +591,17 @@ def run_streaming_crowd_study(
     config = config if config is not None else CrowdConfig()
     if config.protocol.thermal_solver != "expm":
         raise ConfigurationError(
-            "streaming crowd campaigns require protocol.thermal_solver='expm' "
-            "(the batched engine's exact propagator); the serial "
-            "run_crowd_study has no such requirement"
+            "crowd campaigns require protocol.thermal_solver='expm' "
+            "(the batched engine's exact propagator)"
         )
     if not config.protocol.sleep_fast_forward:
         raise ConfigurationError(
-            "streaming crowd campaigns require sleep_fast_forward=True"
+            "crowd campaigns require sleep_fast_forward=True"
         )
     if cohort_size < 1:
         raise ConfigurationError("cohort_size must be at least 1")
     if checkpoint_every < 1:
         raise ConfigurationError("checkpoint_every must be at least 1")
-    if jobs < 1:
-        raise ConfigurationError("jobs must be at least 1")
 
     fingerprint = _config_fingerprint(
         config, cohort_size, ambient_band_c, min_r_squared, reservoir_capacity
@@ -657,7 +654,12 @@ def run_streaming_crowd_study(
             "wall_s": round(wall, 3),
         }
 
-    def write_run_manifest(path: str, kind: str, **extra: Any) -> None:
+    def write_run_manifest(
+        path: str,
+        kind: str,
+        result: Optional[Dict[str, Any]] = None,
+        **extra: Any,
+    ) -> None:
         write_manifest(
             build_manifest(
                 kind,
@@ -665,6 +667,7 @@ def run_streaming_crowd_study(
                 config.root_seed,
                 registry=registry,
                 status=bus.status() if bus is not None else None,
+                result=result,
                 extra={"checkpoint_path": checkpoint_path, **extra},
             ),
             path,
@@ -693,8 +696,6 @@ def run_streaming_crowd_study(
         registry.counter("crowd.users").add(len(result.outcomes))
         registry.counter("crowd.submissions").add(len(result.submissions))
         registry.counter("crowd.cohorts_completed").inc()
-        if payload.metrics is not None:
-            registry.merge_snapshot(payload.metrics)
         wall = time.perf_counter() - started_wall
         if wall > 0:
             fresh_users = estimators.users_done - start_cohort * cohort_size
@@ -753,9 +754,21 @@ def run_streaming_crowd_study(
                             f"{warning['message']}"
                         )
 
-    collect = registry.enabled
-    effective_jobs = max(1, min(jobs, end_cohort - start_cohort))
-    engine = backend_for(effective_jobs)
+    # Completions land in completion order with a bounded in-flight
+    # window; a small reorder buffer (never larger than the window)
+    # restores strict population order before folding.  Payloads are
+    # dropped the moment they fold, so parent memory tracks the window,
+    # not the campaign.
+    pending: Dict[int, Any] = {}
+    next_fold = start_cohort
+
+    def land(offset_index: int, payload) -> None:
+        nonlocal next_fold
+        pending[start_cohort + offset_index] = payload
+        while next_fold in pending:
+            fold(next_fold, pending.pop(next_fold))
+            next_fold += 1
+
     with registry.span(
         "crowd.stream",
         model=crowd_model_label(config),
@@ -763,24 +776,12 @@ def run_streaming_crowd_study(
         cohort_size=cohort_size,
         jobs=jobs,
     ):
-        # The backend yields in completion order with a bounded in-flight
-        # window; a small reorder buffer (never larger than the window)
-        # restores strict population order before folding.  Payloads are
-        # dropped the moment they fold, so parent memory tracks the
-        # window, not the campaign.
-        task_iter = (make_task(i) for i in range(start_cohort, end_cohort))
-        pending: Dict[int, Any] = {}
-        next_fold = start_cohort
-        try:
-            for offset_index, payload in engine.execute(
-                task_iter, effective_jobs, collect_metrics=collect
-            ):
-                pending[start_cohort + offset_index] = payload
-                while next_fold in pending:
-                    fold(next_fold, pending.pop(next_fold))
-                    next_fold += 1
-        finally:
-            engine.close()
+        dispatch(
+            (make_task(i) for i in range(start_cohort, end_cohort)),
+            jobs,
+            land,
+            count=end_cohort - start_cohort,
+        )
 
     wall_s = time.perf_counter() - started_wall
     result = CrowdStreamResult(
@@ -812,18 +813,7 @@ def run_streaming_crowd_study(
         wall_s=wall_s,
     )
     if manifest_path is not None:
-        write_manifest(
-            build_manifest(
-                "crowd-stream",
-                fingerprint,
-                config.root_seed,
-                registry=registry,
-                status=bus.status() if bus is not None else None,
-                result=result.to_dict(),
-                extra={"checkpoint_path": checkpoint_path},
-            ),
-            manifest_path,
-        )
+        write_run_manifest(manifest_path, "crowd-stream", result.to_dict())
     elif checkpoint_path is not None:
         write_run_manifest(
             str(manifest_path_for(checkpoint_path)),

@@ -19,21 +19,23 @@ Results are bit-identical to a serial run regardless of worker count:
 * Devices are fully constructed in the parent process and shipped to
   workers by pickling, which round-trips generator state, thermal state and
   numpy buffers exactly.
-* :func:`run_tasks` hands tasks to an execution backend and consumes
+* :func:`dispatch` hands tasks to an execution backend and consumes
   completions as they land — so the parent can merge worker telemetry and
-  report progress the moment each task completes — but results are
-  reassembled into a list keyed by submission index, so the returned
-  order (and every value in it) is independent of which worker finishes
-  first.
+  report progress the moment each task completes.  :func:`run_tasks`
+  reassembles fleet results into a list keyed by submission index, so the
+  returned order (and every value in it) is independent of which worker
+  finishes first; the streamed crowd folds its cohorts in population
+  order the same way.
 
-*Where* tasks run follows the effective job count alone
+:func:`dispatch` is the one loop every campaign runs through, and *where*
+tasks run follows the effective job count alone
 (:func:`repro.core.backends.backend_for`): one job — or a single task —
 runs in-process, byte-for-byte the sequential campaign loop; more run on
 the zero-copy shared-memory pool.  Results are bit-identical either way,
 trace bytes included, a contract ``repro.check.differential``'s traced
 jobs pairings gate.  ``tasks`` may be any iterable: the backend pulls
-lazily, keeping a bounded in-flight window, so huge campaigns never
-enqueue (or pickle) every task upfront.
+lazily, keeping a bounded in-flight window, so the crowd's cohort stream
+never enqueues (or pickles) every task upfront.
 
 Telemetry
 ---------
@@ -53,6 +55,7 @@ from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Dict,
     Iterable,
     List,
@@ -234,110 +237,95 @@ def _run(task: "Task") -> List[DeviceResult]:
     ]
 
 
-def run_tasks(
+def dispatch(
     tasks: Iterable["Task"],
     jobs: int,
-    progress: Optional[ProgressCallback] = None,
+    on_payload: Callable[[int, TaskPayload], None],
+    count: Optional[int] = None,
     backend: Optional["Backend"] = None,
-) -> List[DeviceResult]:
-    """Execute tasks over an execution backend, preserving task order.
+) -> None:
+    """Run tasks on one executor and hand each completion to ``on_payload``.
 
-    ``jobs`` must already be resolved to a concrete positive count (the
-    runner maps ``0`` to the machine's core count before calling).  The
-    effective job count — ``jobs`` capped at the task count when that is
-    known — picks the backend.  ``backend`` is the seam for reusing or
-    forcing a pool: a caller-owned instance is used as-is and not closed
-    here, so a long campaign can keep one worker pool across dispatches.
-
-    ``tasks`` may be a lazy iterable: the backend pulls at most a bounded
-    window ahead of completions, and the per-task result-count/offset
-    bookkeeping (the single place task sizing is resolved) grows as tasks
-    are drawn.  Completions are consumed as they land: worker metric
-    snapshots merge into the parent's default registry and ``progress``
-    fires per unit result, while the returned list stays in submission
-    order — a :class:`BatchTask`'s per-unit results flatten in place of
-    the shard.  Only each payload's results are retained; the payload
-    itself (metrics snapshot included) is dropped as soon as it is
-    absorbed, so parent memory tracks the in-flight window.
+    The one dispatch loop every campaign (fleet, study, crowd) goes
+    through.  ``jobs``, capped at ``count`` tasks when the caller knows
+    it, is the effective job count that picks the executor
+    (:func:`repro.core.backends.backend_for`); a caller-owned ``backend``
+    is used as-is and not closed here.  Completions arrive in completion
+    order as ``(submission_index, payload)``: worker metric snapshots
+    merge into the parent's default registry, and ``task.wall_s`` and
+    ``tasks.completed`` record each task, before ``on_payload`` sees it.
+    A known ``count`` is also published as the ``tasks.total`` gauge.
     """
     from repro.core.backends import backend_for
 
     if jobs < 1:
         raise ConfigurationError("jobs must be at least 1")
     registry = default_registry()
-    collect = registry.enabled
-    if isinstance(tasks, Sequence):
-        known_total: Optional[int] = sum(
-            task.result_count for task in tasks
-        )
-        effective = min(jobs, max(len(tasks), 1))
-    else:
-        known_total = None
-        effective = jobs
-    engine = backend if backend is not None else backend_for(effective)
-
-    sizes: List[int] = []
-    offsets: List[int] = []
-    produced = 0
-
-    def annotated() -> Iterable["Task"]:
-        # Sizing/offset bookkeeping happens exactly once, here, as the
-        # backend draws tasks — call sites never duplicate it.
-        nonlocal produced
-        for task in tasks:
-            sizes.append(task.result_count)
-            offsets.append(produced)
-            produced += task.result_count
-            yield task
-
-    slots: Dict[int, List[DeviceResult]] = {}
-    completed = 0
+    if count is not None:
+        jobs = max(1, min(jobs, count))
+        if registry.enabled:
+            registry.gauge("tasks.total").set(count)
+    engine = backend if backend is not None else backend_for(jobs)
     try:
         for index, payload in engine.execute(
-            annotated(), effective, collect_metrics=collect
+            tasks, jobs, collect_metrics=registry.enabled
         ):
-            slots[index] = payload.results
-            completed += sizes[index]
-            total = known_total if known_total is not None else produced
-            _absorb(
-                registry, payload, progress, offsets[index], completed, total
-            )
+            if registry.enabled:
+                if payload.metrics is not None:
+                    registry.merge_snapshot(payload.metrics)
+                registry.histogram("task.wall_s").observe(payload.wall_s)
+                registry.counter("tasks.completed").inc()
+            on_payload(index, payload)
     finally:
         if backend is None:
             engine.close()
-    return [
-        result for index in range(len(sizes)) for result in slots.pop(index)
-    ]
 
 
-def _absorb(
-    registry: MetricsRegistry,
-    payload: TaskPayload,
-    progress: Optional[ProgressCallback],
-    base_index: int,
-    completed: int,
-    total: int,
-) -> None:
-    """Fold one completed task into parent-side telemetry and progress."""
-    if registry.enabled:
-        if payload.metrics is not None:
-            registry.merge_snapshot(payload.metrics)
-        registry.histogram("task.wall_s").observe(payload.wall_s)
-        registry.counter("tasks.completed").inc()
-        registry.gauge("tasks.total").set(total)
-    # The worker's engine-step tally rides in its metrics snapshot; turn
-    # it into a per-shard rate so the progress bus can stream steps/sec
-    # without anything ever touching the hot loop.
-    steps_per_sec = None
-    if payload.metrics is not None and payload.wall_s > 0:
-        steps = payload.metrics.get("counters", {}).get("engine.steps")
-        if steps:
-            steps_per_sec = round(steps / payload.wall_s, 1)
-    if progress is not None:
+def run_tasks(
+    tasks: Sequence["Task"],
+    jobs: int,
+    progress: Optional[ProgressCallback] = None,
+    backend: Optional["Backend"] = None,
+) -> List[DeviceResult]:
+    """Execute tasks through :func:`dispatch`, preserving task order.
+
+    ``jobs`` must already be resolved to a concrete positive count (the
+    runner maps ``0`` to the machine's core count before calling).
+    ``backend`` is the seam for reusing or forcing a pool: a caller-owned
+    instance is used as-is and not closed here, so a long campaign can
+    keep one worker pool across dispatches.
+
+    ``progress`` fires per unit result in completion order, while the
+    returned list stays in submission order — a :class:`BatchTask`'s
+    per-unit results flatten in place of the shard.  Only each payload's
+    results are retained; the payload itself (metrics snapshot included)
+    is dropped as soon as it is absorbed.
+    """
+    offsets = [0]
+    for task in tasks:
+        offsets.append(offsets[-1] + task.result_count)
+    total = offsets[-1]
+    slots: List[List[DeviceResult]] = [[] for _ in tasks]
+    completed = 0
+
+    def absorb(index: int, payload: TaskPayload) -> None:
+        nonlocal completed
+        slots[index] = payload.results
+        completed += offsets[index + 1] - offsets[index]
+        if progress is None:
+            return
+        # The worker's engine-step tally rides in its metrics snapshot;
+        # turn it into a per-shard rate so the progress bus can stream
+        # steps/sec without anything ever touching the hot loop.
+        steps_per_sec = None
+        if payload.metrics is not None and payload.wall_s > 0:
+            steps = payload.metrics.get("counters", {}).get("engine.steps")
+            if steps:
+                steps_per_sec = round(steps / payload.wall_s, 1)
         for offset, result in enumerate(payload.results):
             progress(
                 TaskProgress(
-                    index=base_index + offset,
+                    index=offsets[index] + offset,
                     completed=completed,
                     total=total,
                     model=result.model,
@@ -347,3 +335,6 @@ def _absorb(
                     steps_per_sec=steps_per_sec,
                 )
             )
+
+    dispatch(tasks, jobs, absorb, count=len(tasks), backend=backend)
+    return [result for results in slots for result in results]

@@ -218,21 +218,16 @@ class CampaignRunner:
         """Both workloads on one model's paper fleet:
         (UNCONSTRAINED, FIXED-FREQUENCY).
 
-        The two workloads run on separately built fleets, so with
-        ``jobs > 1`` all units of both workloads share one process pool.
+        The two workloads run on separately built fleets, and all units
+        of both go out in one dispatch.
         """
         from repro.device.catalog import device_spec as lookup
 
         device = spec if spec is not None else lookup(model)
-        performance_spec = unconstrained()
-        energy_spec = fixed_frequency(device)
-        resolved = self._resolve_jobs(jobs)
-        if resolved <= 1:
-            performance = self.run_fleet(model, performance_spec, jobs=1)
-            energy = self.run_fleet(model, energy_spec, jobs=1)
-            return performance, energy
-        plan = [(model, performance_spec), (model, energy_spec)]
-        performance, energy = self._run_experiments(plan, resolved)
+        plan = [(model, unconstrained()), (model, fixed_frequency(device))]
+        performance, energy = self._run_experiments(
+            plan, self._resolve_jobs(jobs)
+        )
         return performance, energy
 
     def run_study(
@@ -242,21 +237,18 @@ class CampaignRunner:
     ) -> Dict[str, Tuple[ExperimentResult, ExperimentResult]]:
         """The whole Table II study: every model, both workloads.
 
-        With ``jobs > 1`` every (model, unit, workload) in the study is one
-        work item in a single pool dispatch.
+        Every (model, unit, workload) in the study is one work item in a
+        single dispatch.
         """
         from repro.device.catalog import DEVICE_NAMES, device_spec as lookup
 
         chosen = list(models) if models is not None else list(DEVICE_NAMES)
-        resolved = self._resolve_jobs(jobs)
-        if resolved <= 1:
-            return {model: self.run_model(model, jobs=1) for model in chosen}
         plan = []
         for model in chosen:
             device = lookup(model)
             plan.append((model, unconstrained()))
             plan.append((model, fixed_frequency(device)))
-        experiments = self._run_experiments(plan, resolved)
+        experiments = self._run_experiments(plan, self._resolve_jobs(jobs))
         return {
             model: (experiments[2 * i], experiments[2 * i + 1])
             for i, model in enumerate(chosen)
@@ -357,9 +349,9 @@ class CampaignRunner:
     def _run_experiments(
         self, plan: Sequence[Tuple[str, ExperimentSpec]], jobs: int
     ) -> List[ExperimentResult]:
-        """Run several (model, experiment) fleets through one pool dispatch.
+        """Run several (model, experiment) fleets through one dispatch.
 
-        Flattens every fleet into one task list so the pool stays busy across
+        Flattens every fleet into one task list so a pool stays busy across
         experiment boundaries, then reassembles per-experiment results in
         plan order.
         """

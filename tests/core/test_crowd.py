@@ -2,12 +2,12 @@
 
 import pytest
 
+from repro.check.oracles import run_crowd_study
 from repro.core.ambient_estimation import AmbientEstimate
 from repro.core.config import AccubenchConfig
 from repro.core.crowd import (
     CrowdConfig,
     Submission,
-    run_crowd_study,
     silicon_ranking_quality,
     spearman_rank_correlation,
     strict_filters,

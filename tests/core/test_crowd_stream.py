@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.check.differential import default_crowd_differential_config
+from repro.check.oracles import run_crowd_study
 from repro.core.ambient_estimation import DEFAULT_PROBE_POLL_S
 from repro.core.crowd import (
     CrowdConfig,
@@ -25,7 +26,6 @@ from repro.core.crowd import (
     crowd_param_stream,
     plan_users,
     prepare_field_device,
-    run_crowd_study,
 )
 from repro.core import crowd_stream
 from repro.core.crowd_stream import (
@@ -349,6 +349,11 @@ class TestDropAccounting:
 
 
 class TestGuards:
+    def test_default_config_runs_without_solver_override(self):
+        result = run_streaming_crowd_study(CrowdConfig(user_count=4))
+        assert result.complete
+        assert result.users_simulated == 4
+
     def test_requires_exact_solver(self, micro_config):
         euler = replace(
             micro_config,

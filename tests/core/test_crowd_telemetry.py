@@ -19,6 +19,7 @@ from repro.core.crowd_stream import (
     run_streaming_crowd_study,
 )
 from repro.obs.manifest import manifest_path_for, read_manifest
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.progress import ProgressBus
 from repro.obs.watch import DropRateSpikeRule, Watchdog
 
@@ -210,3 +211,15 @@ class TestBusAndWatchdog:
             micro_config, cohort_size=3, telemetry=bus, watchdog=watchdog,
         )
         assert observed.to_dict() == bare.to_dict()
+
+
+class TestSharedDispatchLoop:
+    def test_metrics_count_one_task_per_cohort(self, micro_config):
+        registry = MetricsRegistry(enabled=True)
+        with use_registry(registry):
+            result = run_streaming_crowd_study(micro_config, cohort_size=3)
+        snapshot = registry.snapshot()
+        assert result.cohorts_total == 3
+        assert snapshot["counters"]["tasks.completed"] == 3
+        assert snapshot["gauges"]["tasks.total"] == 3
+        assert snapshot["histograms"]["task.wall_s"]["count"] == 3

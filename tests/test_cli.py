@@ -214,6 +214,19 @@ class TestCrowd:
         assert "submissions from 4 users" in out
         assert "ranking quality" in out
 
+    def test_flagless_crowd_honours_output_flags(self, capsys, tmp_path):
+        summary = tmp_path / "x.json"
+        metrics = tmp_path / "m.json"
+        code = main([
+            "crowd", "--users", "3", "--scale", "0.05",
+            "--json", str(summary), "--metrics-out", str(metrics),
+        ])
+        assert code == 0
+        assert json.loads(summary.read_text())["user_count"] == 3
+        manifest = json.loads((tmp_path / "x.json.manifest.json").read_text())
+        assert manifest["kind"] == "crowd-stream"
+        assert json.loads(metrics.read_text())["counters"]["crowd.users"] == 3
+
     def test_streamed_crowd_checkpoint_resume(self, capsys, tmp_path):
         checkpoint = tmp_path / "campaign.json"
         base = [
@@ -237,7 +250,7 @@ class TestCrowd:
 class TestTelemetryPlane:
     CROWD = [
         "crowd", "--users", "6", "--scale", "0.1", "--seed", "11",
-        "--stream", "--cohort-size", "3",
+        "--cohort-size", "3",
     ]
     FLEET = [
         "run-fleet", "Nexus 5", "--experiment", "unconstrained",
