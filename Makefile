@@ -1,6 +1,6 @@
 # Convenience targets; all assume the package is installed (see README).
 
-.PHONY: test check check-update-golden bench bench-fast bench-batch bench-crowd bench-backend smoke-telemetry validate calibrate examples all
+.PHONY: test check check-update-golden bench bench-fast bench-batch bench-crowd bench-backend bench-ab smoke-telemetry validate calibrate examples all
 
 test:
 	pytest tests/
@@ -39,6 +39,17 @@ bench-crowd:
 # flatness on the pool; writes BENCH_backend.json.
 bench-backend:
 	pytest benchmarks/test_perf_backend.py -q -s
+
+# A/B this checkout against a local commit on perfbench: interleaved pairs
+# of perfbench/run.py in a temporary git worktree of BASE and in this tree,
+# then perfbench/compare.py; e.g. `make bench-ab BASE=main~1 PAIRS=10`.
+BASE ?= HEAD
+WORKLOAD ?= table2-default
+PAIRS ?= 10
+RUN_SECONDS ?= 4
+SEED ?= 1
+bench-ab:
+	python scripts/bench_ab.py $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS) --seconds $(RUN_SECONDS) --seed $(SEED)
 
 # Live-telemetry smoke: a streamed crowd run scraped over HTTP mid-run;
 # asserts advancing /status, parseable /metrics, round-tripping manifest.

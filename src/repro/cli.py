@@ -441,16 +441,25 @@ def _cmd_run_fleet(args: argparse.Namespace) -> int:
     scope, registry = _metrics_scope(args)
     fingerprint = None
     with scope, _serve_scope(args, registry, bus):
-        if args.experiment in ("unconstrained", "both"):
-            result = runner.run_fleet(args.model, unconstrained())
-            print(render_experiment(result, "performance"))
-            print(f"performance variation: {result.performance_variation:.1%}\n")
-            documents["unconstrained"] = result
-        if args.experiment in ("fixed", "both"):
-            result = runner.run_fleet(args.model, fixed_frequency(spec))
-            print(render_experiment(result, "energy"))
-            print(f"energy variation: {result.energy_variation:.1%}")
-            documents["fixed-frequency"] = result
+        # Both workloads go out in one dispatch (one pool, one task count).
+        if args.experiment == "both":
+            performance, energy = runner.run_model(args.model, spec)
+        elif args.experiment == "unconstrained":
+            performance, energy = runner.run_fleet(args.model, unconstrained()), None
+        else:
+            performance, energy = None, runner.run_fleet(
+                args.model, fixed_frequency(spec)
+            )
+        if performance is not None:
+            print(render_experiment(performance, "performance"))
+            print(
+                f"performance variation: {performance.performance_variation:.1%}\n"
+            )
+            documents["unconstrained"] = performance
+        if energy is not None:
+            print(render_experiment(energy, "energy"))
+            print(f"energy variation: {energy.energy_variation:.1%}")
+            documents["fixed-frequency"] = energy
     if registry is not None and args.metrics_out:
         from repro.obs import write_metrics
 
@@ -641,9 +650,7 @@ def _cmd_export_fleet(args: argparse.Namespace) -> int:
     from repro.core.figure_data import bar_series, export_bundle
 
     runner = _runner(args)
-    spec = device_spec(args.model)
-    perf = runner.run_fleet(args.model, unconstrained())
-    energy = runner.run_fleet(args.model, fixed_frequency(spec))
+    perf, energy = runner.run_model(args.model)
     slug = args.model.lower().replace(" ", "-")
     bundle = export_bundle(
         [

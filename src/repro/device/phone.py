@@ -9,8 +9,7 @@ temperature sensor — plus a :meth:`step` the simulation engine drives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 import numpy as np
 
@@ -28,9 +27,12 @@ from repro.soc.instance import Soc
 from repro.thermal.sensors import TemperatureSensor
 
 
-@dataclass(frozen=True)
-class StepReport:
+class StepReport(NamedTuple):
     """What happened during one engine step.
+
+    An immutable record built once per step; a named tuple constructs
+    several times faster than a frozen dataclass.  ``frequencies_mhz`` is
+    the SoC's shared per-clock dict (see ``Soc.frequencies_mhz``).
 
     Attributes
     ----------
@@ -246,17 +248,18 @@ class Device:
         power_vec[self._idx_pkg] = supply_power - soc_power - display_w
         thermal.step_vector(power_vec, dt)
         self._now_s = now_s = now_s + dt
+        # Positional, in field order: half the cost of keyword arguments.
         return StepReport(
-            time_s=now_s,
-            supply_power_w=supply_power,
-            soc_power_w=soc_power,
-            ops=ops,
-            current_a=current,
-            cpu_temp_c=thermal.temperature_at(self._idx_cpu),
-            case_temp_c=thermal.temperature_at(self._idx_case),
-            frequencies_mhz=soc.frequencies_mhz(),
-            online_cores=soc.online_cores(),
-            asleep=asleep,
+            now_s,
+            supply_power,
+            soc_power,
+            ops,
+            current,
+            thermal.temperature_at(self._idx_cpu),
+            thermal.temperature_at(self._idx_case),
+            soc.frequencies_mhz(),
+            soc.online_cores(),
+            asleep,
         )
 
     # -- internals --------------------------------------------------------

@@ -9,11 +9,14 @@ lag and noise bound how tightly the chamber can hold its band.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+
+#: Distinct step sizes whose smoothing factor a probe memoizes.
+ALPHA_CACHE_SIZE = 32
 
 
 class ThermistorProbe:
@@ -40,6 +43,9 @@ class ThermistorProbe:
         self._quantum = quantization_c
         self._element_c = initial_temp_c
         self._rng = rng
+        # Smoothing factor per step size (the engine's dt plus the chunk
+        # sizes of fast-forwarded windows), like ``StableEuler.plan``.
+        self._alphas: Dict[float, float] = {}
 
     @property
     def element_temp_c(self) -> float:
@@ -50,7 +56,11 @@ class ThermistorProbe:
         """Let the element track the true temperature for ``dt`` seconds."""
         if dt <= 0:
             raise ConfigurationError("dt must be positive")
-        alpha = 1.0 - math.exp(-dt / self._tau)
+        alpha = self._alphas.get(dt)
+        if alpha is None:
+            if len(self._alphas) >= ALPHA_CACHE_SIZE:
+                self._alphas.clear()
+            alpha = self._alphas[dt] = 1.0 - math.exp(-dt / self._tau)
         self._element_c += alpha * (true_temp_c - self._element_c)
 
     def read(self) -> float:

@@ -59,6 +59,19 @@ class LeakageModel:
         A powered-off block (``voltage == 0``) leaks nothing; power gating is
         modelled as removing the supply entirely.
         """
+        return self.power_at(
+            profile, voltage, temperature_factor(self.process, temp_c)
+        )
+
+    def power_at(
+        self, profile: SiliconProfile, voltage: float, temp_factor: float
+    ) -> float:
+        """:meth:`power` with the temperature term already evaluated.
+
+        ``temp_factor`` is :func:`temperature_factor` at the die
+        temperature.  It depends only on the process and the temperature,
+        so one evaluation serves every block of a die in a step.
+        """
         if voltage < 0:
             raise ConfigurationError("voltage must be non-negative")
         if voltage == 0.0:
@@ -66,11 +79,13 @@ class LeakageModel:
         volt_term = (voltage / self.ref_voltage) * math.exp(
             self.process.leak_volt_slope * (voltage - self.ref_voltage)
         )
-        temp_term = math.exp(
-            self.process.leak_temp_slope * (temp_c - LEAKAGE_REFERENCE_TEMP_C)
-        )
-        return self.leak_ref_w * profile.leak_factor * volt_term * temp_term
+        return self.leak_ref_w * profile.leak_factor * volt_term * temp_factor
 
     def doubling_temperature_delta(self) -> float:
         """Temperature rise (°C) over which leakage doubles at fixed voltage."""
         return math.log(2.0) / self.process.leak_temp_slope
+
+
+def temperature_factor(process: ProcessNode, temp_c: float) -> float:
+    """The leakage temperature term ``exp(b · (T − T_ref))`` at ``temp_c``."""
+    return math.exp(process.leak_temp_slope * (temp_c - LEAKAGE_REFERENCE_TEMP_C))

@@ -8,18 +8,21 @@ power cluster; Krait SoCs (SD-800/805) have a single quad cluster.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.silicon.dynamic import DynamicPowerModel
-from repro.silicon.leakage import LeakageModel
+from repro.silicon.leakage import LeakageModel, temperature_factor
 from repro.silicon.process import ProcessNode
 from repro.silicon.transistor import SiliconProfile
 from repro.silicon.vf_tables import VoltageFrequencyTable
 from repro.soc.core import CoreState
 from repro.soc.perf import ops_rate
 from repro.units import mhz_to_hz
+
+#: Distinct ceilings whose nearest ladder rung one spec memoizes.
+NEAREST_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -57,6 +60,9 @@ class ClusterSpec:
     leak_ref_w: float
     leak_ref_voltage_v: float
     vf_table: VoltageFrequencyTable
+    _nearest: Dict[float, float] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.core_count < 1:
@@ -92,14 +98,20 @@ class ClusterSpec:
 
     def nearest_freq_mhz(self, freq_mhz: float) -> float:
         """The highest ladder frequency not above ``freq_mhz`` (or the bottom)."""
-        # Called every governor poll; the ladder is strictly increasing, so
-        # walk it and stop at the first rung above the target.
-        best = None
-        for candidate in self.freq_table_mhz:
-            if candidate > freq_mhz:
-                break
-            best = candidate
-        return best if best is not None else self.freq_table_mhz[0]
+        # Called every governor poll with one of a handful of ceilings
+        # (ladder rungs, pins, the input-voltage cap).  The ladder is
+        # immutable, so the walk runs once per ceiling.
+        nearest = self._nearest.get(freq_mhz)
+        if nearest is None:
+            if len(self._nearest) >= NEAREST_CACHE_SIZE:
+                self._nearest.clear()
+            nearest = self.freq_table_mhz[0]
+            for candidate in self.freq_table_mhz:
+                if candidate > freq_mhz:
+                    break
+                nearest = candidate
+            self._nearest[freq_mhz] = nearest
+        return nearest
 
 
 class ClusterState:
@@ -139,15 +151,19 @@ class ClusterState:
         # Table voltage per ladder frequency, filled lazily (the table scan
         # would otherwise run every power computation).
         self._table_voltage_cache: dict = {}
+        self._online = spec.core_count
+        # One core's retire rate at the (clock, memory boundedness) it was
+        # last computed for; both change only on a DVFS or workload change.
+        self._rate_key: Tuple[float, float] = (-1.0, -1.0)
+        self._rate_per_core = 0.0
+        #: Called after the clock or the online count changes, so an owner
+        #: can rebuild what it derives from them (see ``Soc``).
+        self.on_change: Optional[Callable[[], None]] = None
 
     @property
     def online_count(self) -> int:
         """Number of hotplugged-in cores."""
-        count = 0
-        for core in self.cores:
-            if core.online:
-                count += 1
-        return count
+        return self._online
 
     def set_frequency(self, freq_mhz: float) -> None:
         """Set the shared cluster clock to an exact ladder frequency."""
@@ -155,6 +171,8 @@ class ClusterState:
             return  # already validated when it was first set
         self.spec.freq_index(freq_mhz)  # validates membership
         self.freq_mhz = freq_mhz
+        if self.on_change is not None:
+            self.on_change()
 
     def set_utilization(self, utilization: float) -> None:
         """Set every core's utilization (the π workload loads all cores)."""
@@ -189,8 +207,13 @@ class ClusterState:
             raise ConfigurationError(
                 f"online count {count} out of range for {self.spec.name!r}"
             )
+        if count == self._online:
+            return
         for core in self.cores:
             core.online = core.index < count
+        self._online = count
+        if self.on_change is not None:
+            self.on_change()
 
     def voltage_v(self) -> float:
         """Current rail voltage: binned table voltage plus any adjustment."""
@@ -210,6 +233,11 @@ class ClusterState:
         Memory stalls don't switch the pipeline: the dynamic term scales
         by the CPU-time share of the running workload.
         """
+        return self.power_at(temperature_factor(self._leakage.process, die_temp_c))
+
+    def power_at(self, temp_factor: float) -> float:
+        """:meth:`power_w` given the die's leakage temperature factor
+        (:func:`~repro.silicon.leakage.temperature_factor`)."""
         voltage = self.voltage_v()
         cpu_share = self._cpu_time_share()
         # Per-core dynamic power is `base * activity` with the base invariant
@@ -222,7 +250,7 @@ class ClusterState:
             if core.online:
                 dynamic += base * (core.utilization * cpu_share)
                 online += 1
-        leak_per_core = self._leakage.power(self.profile, voltage, die_temp_c)
+        leak_per_core = self._leakage.power_at(self.profile, voltage, temp_factor)
         return dynamic + leak_per_core * online
 
     def leakage_w(self, die_temp_c: float) -> float:
@@ -238,11 +266,15 @@ class ClusterState:
         the boundedness grows.
         """
         beta = self.memory_boundedness
-        per_core = ops_rate(self.freq_mhz, self.spec.ipc)
-        if beta > 0.0:
-            top_rate = ops_rate(self.spec.max_freq_mhz, self.spec.ipc)
-            mem_time = (beta / (1.0 - beta)) / top_rate
-            per_core = 1.0 / (1.0 / per_core + mem_time)
+        key = (self.freq_mhz, beta)
+        if key != self._rate_key:
+            per_core = ops_rate(self.freq_mhz, self.spec.ipc)
+            if beta > 0.0:
+                top_rate = ops_rate(self.spec.max_freq_mhz, self.spec.ipc)
+                mem_time = (beta / (1.0 - beta)) / top_rate
+                per_core = 1.0 / (1.0 / per_core + mem_time)
+            self._rate_key, self._rate_per_core = key, per_core
+        per_core = self._rate_per_core
         total = 0.0
         for core in self.cores:
             if core.online:

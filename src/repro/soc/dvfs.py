@@ -17,7 +17,7 @@ for fidelity (idle phases) and for ablation studies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol
+from typing import Optional, Protocol
 
 from repro.errors import ConfigurationError
 from repro.soc.cluster import ClusterSpec
@@ -49,12 +49,26 @@ class UserspaceGovernor:
     """Pin an exact ladder frequency (still honouring the thermal ceiling)."""
 
     fixed_mhz: float
+    # The ladder the pin was last checked against (``validate``).
+    _checked: Optional[ClusterSpec] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def validate(self, spec: ClusterSpec) -> None:
+        """Reject a pin that is not on ``spec``'s ladder.
+
+        ``Soc.set_governor`` calls this when it installs the governor, so a
+        bad pin fails there rather than on the first step.
+        """
+        spec.freq_index(self.fixed_mhz)  # validates ladder membership
+        object.__setattr__(self, "_checked", spec)
 
     def target_frequency(
         self, spec: ClusterSpec, utilization: float, ceiling_mhz: float
     ) -> float:
         """The pinned frequency, clamped by the thermal ceiling."""
-        spec.freq_index(self.fixed_mhz)  # validates ladder membership
+        if spec is not self._checked:
+            self.validate(spec)  # driven directly, or shared across ladders
         return spec.nearest_freq_mhz(min(self.fixed_mhz, ceiling_mhz))
 
 

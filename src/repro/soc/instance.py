@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError
+from repro.silicon.leakage import temperature_factor
 from repro.silicon.transistor import SiliconProfile
 from repro.soc.catalog import SocSpec, VoltageMode
 from repro.soc.cluster import ClusterState
@@ -57,17 +58,27 @@ class Soc:
         #: Extra ladder steps shaved off the ceiling by device-level
         #: policies that watch other sensors (skin-temperature throttles).
         self.external_ceiling_steps: int = 0
+        # What the per-step report reads, rebuilt only after a cluster's
+        # clock or hotplug state changes (``None`` = stale).
+        self._frequencies: Optional[Dict[str, float]] = None
+        self._online_cores: Optional[int] = None
+        for cluster in self.clusters:
+            cluster.on_change = self._cluster_changed
 
     def set_governor(self, governor: Governor, cluster: Optional[str] = None) -> None:
         """Install a governor on one cluster or (default) all clusters."""
-        if cluster is None:
-            for state in self.clusters:
-                self._governors[state.spec.name] = governor
-            return
-        if cluster not in self._governors:
+        if cluster is not None and cluster not in self._governors:
             known = ", ".join(self._governors)
             raise ConfigurationError(f"unknown cluster {cluster!r}; known: {known}")
-        self._governors[cluster] = governor
+        # A pinning governor checks its pin against each ladder here, once,
+        # instead of on every step.
+        validate = getattr(governor, "validate", None)
+        for state in self.clusters:
+            spec = state.spec
+            if cluster is None or spec.name == cluster:
+                if validate is not None:
+                    validate(spec)
+                self._governors[spec.name] = governor
 
     def set_utilization(self, utilization: float) -> None:
         """Load (or idle) every core on every cluster."""
@@ -105,13 +116,15 @@ class Soc:
         total_steps = mitigation.ceiling_steps + self.external_ceiling_steps
         external_mhz = self.external_ceiling_mhz
         governors = self._governors
-        # RBCPR's adjustment depends only on die temperature and silicon,
-        # so one evaluation serves every cluster this step.
+        # RBCPR's adjustment and the leakage temperature term depend only
+        # on die temperature, silicon and process, so one evaluation of
+        # each serves every cluster this step.
         adjust = (
             self.rbcpr.voltage_adjust_v(self.profile, die_temp_c)
             if self.rbcpr is not None
             else None
         )
+        temp_factor = temperature_factor(self.spec.process, die_temp_c)
         for cluster in self.clusters:
             spec = cluster.spec
             ladder = spec.freq_table_mhz
@@ -143,7 +156,7 @@ class Soc:
         power_w = 0.0
         ops_rate_total = 0.0
         for cluster in self.clusters:
-            power_w += cluster.power_w(die_temp_c)
+            power_w += cluster.power_at(temp_factor)
             ops_rate_total += cluster.ops_per_second()
         return power_w, ops_rate_total * dt
 
@@ -152,8 +165,17 @@ class Soc:
         return sum(cluster.leakage_w(die_temp_c) for cluster in self.clusters)
 
     def frequencies_mhz(self) -> Dict[str, float]:
-        """Current frequency per cluster, MHz."""
-        return {cluster.spec.name: cluster.freq_mhz for cluster in self.clusters}
+        """Current frequency per cluster, MHz.
+
+        The same dict is returned until a cluster's clock changes (every
+        step report carries it), so callers must not mutate it.
+        """
+        frequencies = self._frequencies
+        if frequencies is None:
+            frequencies = self._frequencies = {
+                cluster.spec.name: cluster.freq_mhz for cluster in self.clusters
+            }
+        return frequencies
 
     def voltages_v(self) -> Dict[str, float]:
         """Current rail voltage per cluster, volts."""
@@ -161,4 +183,13 @@ class Soc:
 
     def online_cores(self) -> int:
         """Total online cores across clusters."""
-        return sum(cluster.online_count for cluster in self.clusters)
+        online = self._online_cores
+        if online is None:
+            online = self._online_cores = sum(
+                cluster.online_count for cluster in self.clusters
+            )
+        return online
+
+    def _cluster_changed(self) -> None:
+        self._frequencies = None
+        self._online_cores = None

@@ -160,6 +160,10 @@ class ThrottlePolicy:
 
     stepwise: StepwiseThrottle
     shutdown: Optional[CoreShutdownPolicy] = None
+    # The last allowance handed out; reused while it still holds.
+    _state: MitigationState = field(
+        default_factory=MitigationState, init=False, repr=False, compare=False
+    )
 
     def reset(self) -> None:
         """Clear all mitigation state."""
@@ -175,4 +179,9 @@ class ThrottlePolicy:
             if self.shutdown is not None
             else 0
         )
-        return MitigationState(ceiling_steps=steps, offline_cores=offline)
+        state = self._state
+        if state.ceiling_steps != steps or state.offline_cores != offline:
+            state = self._state = MitigationState(
+                ceiling_steps=steps, offline_cores=offline
+            )
+        return state

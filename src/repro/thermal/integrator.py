@@ -9,7 +9,7 @@ sub-steps to stay comfortably inside the stability bound.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -35,6 +35,8 @@ class StableEuler:
         # The engine requests the same dt millions of times; memoize the
         # (sub-step count, sub-step size) plan instead of re-deriving it.
         self._plans: Dict[float, Tuple[int, float]] = {}
+        # Holds each sub-step's increment, so a step allocates nothing.
+        self._increment: Optional[np.ndarray] = None
 
     @property
     def max_stable_step(self) -> float:
@@ -56,9 +58,15 @@ class StableEuler:
         """
         if dt <= 0:
             raise ConfigurationError("dt must be positive")
-        substeps, h = self.plan(dt)
+        substeps, h = self._plans.get(dt) or self.plan(dt)
+        increment = self._increment
+        if increment is None or increment.shape != state.shape:
+            increment = self._increment = np.empty_like(state)
         for _ in range(substeps):
-            state += h * derivative(state, forcing)
+            # `state += h * derivative(...)`, without the temporary: the
+            # product and the sum are the same two roundings.
+            np.multiply(derivative(state, forcing), h, out=increment)
+            np.add(state, increment, out=state)
 
     def plan(self, dt: float) -> Tuple[int, float]:
         """The memoized (sub-step count, sub-step size) pair for ``dt``."""

@@ -11,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.core.experiments import fixed_frequency, unconstrained
 from repro.core.paper_targets import TABLE2_TARGETS, in_band
+from repro.core.results import ExperimentResult
 from repro.core.runner import CampaignRunner
-from repro.device.catalog import device_spec
 from repro.errors import ConfigurationError
 
 
@@ -44,15 +43,23 @@ def validate_model(
     runner: CampaignRunner, model: str
 ) -> List[CheckResult]:
     """Run both workloads on one model's paper fleet and check its bands."""
-    if model not in TABLE2_TARGETS:
-        raise ConfigurationError(
-            f"no paper targets for {model!r}; known: {', '.join(TABLE2_TARGETS)}"
-        )
-    target = TABLE2_TARGETS[model]
-    spec = device_spec(model)
-    performance = runner.run_fleet(model, unconstrained())
-    energy = runner.run_fleet(model, fixed_frequency(spec))
+    _require_targets([model])
+    return _model_checks(model, *runner.run_model(model))
 
+
+def _require_targets(models: Sequence[str]) -> None:
+    for model in models:
+        if model not in TABLE2_TARGETS:
+            raise ConfigurationError(
+                f"no paper targets for {model!r}; known: {', '.join(TABLE2_TARGETS)}"
+            )
+
+
+def _model_checks(
+    model: str, performance: ExperimentResult, energy: ExperimentResult
+) -> List[CheckResult]:
+    """One model's band checks on its two workload results."""
+    target = TABLE2_TARGETS[model]
     checks = [
         CheckResult(
             name=f"{model} performance variation",
@@ -100,11 +107,13 @@ def validate_model(
 def validate_study(
     runner: CampaignRunner, models: Optional[Sequence[str]] = None
 ) -> List[CheckResult]:
-    """Validate several models (default: all five)."""
+    """Validate several models (default: all five) from one study dispatch."""
     chosen = list(models) if models else list(TABLE2_TARGETS)
+    _require_targets(chosen)
+    study = runner.run_study(chosen)
     results: List[CheckResult] = []
     for model in chosen:
-        results.extend(validate_model(runner, model))
+        results.extend(_model_checks(model, *study[model]))
     return results
 
 

@@ -146,6 +146,42 @@ class TestRunFleetTelemetry:
         assert "bin-0" in err
 
 
+class TestOneDispatchPerCommand:
+    """Each fleet command sends all its work out in one dispatch."""
+
+    SMALL = ["--scale", "0.05", "--iterations", "1", "--no-thermabox"]
+
+    def test_both_workloads_complete_their_total(self, capsys, tmp_path):
+        path = tmp_path / "metrics.json"
+        assert main(["run-fleet", "Nexus 5", *self.SMALL,
+                     "--metrics-out", str(path)]) == 0
+        document = json.loads(path.read_text())
+        completed = document["counters"]["tasks.completed"]
+        assert completed == document["gauges"]["tasks.total"] == 8
+
+    @pytest.mark.parametrize("command", [
+        ["run-fleet", "Nexus 5"],
+        ["export-fleet", "Nexus 5", "--out", "{tmp}"],
+        ["validate", "--models", "Nexus 6", "Nexus 5"],
+    ])
+    def test_pool_starts_once(self, capsys, tmp_path, monkeypatch, command):
+        from repro.core.backends import SharedMemoryBackend
+
+        starts = []
+        original = SharedMemoryBackend._ensure_pool
+
+        def counting(self, jobs):
+            before = self._workers
+            original(self, jobs)
+            if self._workers is not before:
+                starts.append(jobs)
+
+        monkeypatch.setattr(SharedMemoryBackend, "_ensure_pool", counting)
+        argv = [arg.format(tmp=tmp_path) for arg in command]
+        main(argv + self.SMALL + ["--jobs", "2"])
+        assert starts == [2]
+
+
 class TestReport:
     def metrics_file(self, tmp_path):
         path = tmp_path / "metrics.json"
