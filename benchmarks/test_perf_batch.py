@@ -12,9 +12,13 @@ physics.  Two benches:
   The speedup floor is asserted unless ``REPRO_BENCH_SKIP_RATE_ASSERT``
   is set; per-unit agreement against :data:`~repro.check.BATCH_SPEC`
   gates unconditionally — a fast engine that drifts is a bug, not a win.
-* batch-size scaling at N ∈ {1, 8, 32, 128}: batched vs serial rate at
-  each fleet size, recorded (never asserted) to document where the
-  vectorization pays for its per-step fixed cost.
+* batch-size scaling at N ∈ {1, 3, 4, 5, 8, 10, 32, 128}: batched vs
+  serial rate at each fleet size, recorded (never asserted) to document
+  where the vectorization pays for its per-step fixed cost.  The small
+  sizes are the Table II fleets (3-5 units per workload, 8-10 per merged
+  study cohort); the same small sizes are also swept on an RBCPR part
+  (:data:`RBCPR_MODEL`), whose per-step voltage adjust keeps the batched
+  governor block off its replay cache.
 * mixed-fleet scaling at N ∈ {8, 32, 128} over two interleaved models:
   the cohort facade advances per-model blocks sequentially, so its
   speedup is bounded by the largest cohort — recorded per size, with a
@@ -50,7 +54,9 @@ FLEET_N = 32
 MIN_BATCH_SPEEDUP = 5.0
 REPEATS = 3
 SCALE = 0.3
-SCALING_FLEET_SIZES = (1, 8, 32, 128)
+SCALING_FLEET_SIZES = (1, 3, 4, 5, 8, 10, 32, 128)
+RBCPR_MODEL = "LG G5"
+RBCPR_SCALING_SIZES = (3, 4, 5, 10)
 SCALING_SCALE = 0.15
 SCALING_REPEATS = 2
 MIXED_MODELS = ("Nexus 5", "Nexus 6")
@@ -67,9 +73,9 @@ def _config(batch: bool) -> CampaignConfig:
     return CampaignConfig(accubench=accubench, jobs=1)
 
 
-def _fleet(count: int):
+def _fleet(count: int, model: str = MODEL):
     return synthetic_fleet(
-        MODEL, count, thermal_solver="expm", initial_temp_c=26.0
+        model, count, thermal_solver="expm", initial_temp_c=26.0
     )
 
 
@@ -94,15 +100,21 @@ def _mixed_fleet(count: int):
     return devices[:count]
 
 
-def _fleet_rate(count: int, batch: bool, scale: float = SCALE, mixed: bool = False):
+def _fleet_rate(
+    count: int,
+    batch: bool,
+    scale: float = SCALE,
+    mixed: bool = False,
+    model: str = MODEL,
+):
     """One fleet campaign; returns (unit-steps/sec, ExperimentResult)."""
     accubench = AccubenchConfig(
         thermal_solver="expm", iterations=1, batch=batch
     ).scaled(scale)
     runner = CampaignRunner(CampaignConfig(accubench=accubench, jobs=1))
     registry = MetricsRegistry(enabled=True)
-    devices = _mixed_fleet(count) if mixed else _fleet(count)
-    label = "+".join(MIXED_MODELS) if mixed else MODEL
+    devices = _mixed_fleet(count) if mixed else _fleet(count, model)
+    label = "+".join(MIXED_MODELS) if mixed else model
     start = time.perf_counter()
     with use_registry(registry):
         result = runner.run_fleet(label, unconstrained(), devices=devices)
@@ -150,16 +162,16 @@ def test_batched_fleet_speedup():
     )
 
 
-def test_batch_size_scaling():
-    # Recorded, never asserted: where does lock-step stepping pay off?
-    # The batched arm's per-step fixed cost (mask bookkeeping, cohort
-    # checks) is amortized over N rows, so N=1 is expected to lose.
+def _scaling_sweep(model: str, sizes) -> dict:
+    """Best-of batched vs serial unit-steps/sec per fleet size."""
     scaling = {}
-    for count in SCALING_FLEET_SIZES:
+    for count in sizes:
         best = {"serial": 0.0, "batched": 0.0}
         for _ in range(SCALING_REPEATS):
             for arm, batch in (("serial", False), ("batched", True)):
-                rate, _ = _fleet_rate(count, batch, scale=SCALING_SCALE)
+                rate, _ = _fleet_rate(
+                    count, batch, scale=SCALING_SCALE, model=model
+                )
                 best[arm] = max(best[arm], rate)
         scaling[count] = {
             "serial": round(best["serial"], 1),
@@ -167,10 +179,19 @@ def test_batch_size_scaling():
             "speedup": round(best["batched"] / best["serial"], 3),
         }
         print(
-            f"\nN={count}: serial {best['serial']:,.0f} unit-steps/s, "
-            f"batched {best['batched']:,.0f} "
+            f"\n{model} N={count}: serial {best['serial']:,.0f} "
+            f"unit-steps/s, batched {best['batched']:,.0f} "
             f"({scaling[count]['speedup']:.2f}x)"
         )
+    return scaling
+
+
+def test_batch_size_scaling():
+    # Recorded, never asserted: where does lock-step stepping pay off?
+    # The batched arm's per-step fixed cost (mask bookkeeping, cohort
+    # checks) is amortized over N rows, so N=1 is expected to lose.
+    scaling = _scaling_sweep(MODEL, SCALING_FLEET_SIZES)
+    rbcpr = _scaling_sweep(RBCPR_MODEL, RBCPR_SCALING_SIZES)
     _merge_results(
         {
             f"batch_scaling[{count}]": entry["speedup"]
@@ -179,6 +200,15 @@ def test_batch_size_scaling():
         | {
             f"batch_scaling_batched_steps_per_sec[{count}]": entry["batched"]
             for count, entry in scaling.items()
+        }
+        | {
+            "batch_cpu_count": len(os.sched_getaffinity(0)),
+            "batch_scaling_repeats": SCALING_REPEATS,
+            "batch_rbcpr_model": RBCPR_MODEL,
+        }
+        | {
+            f"batch_rbcpr_scaling[{count}]": entry["speedup"]
+            for count, entry in rbcpr.items()
         },
         path=RESULTS_PATH,
     )

@@ -171,6 +171,7 @@ def execute_cohort(
             room_temp_c=rooms,
             dt=bench.dt,
             trace_decimation=bench.trace_decimation,
+            check_invariants=bench.check_invariants,
         )
 
         # Cooldown probe, batched: heat awake (per-step, RNG replayed),
@@ -206,7 +207,7 @@ def execute_cohort(
                 estimates.append(probe_drop_reason(error))
 
         cooldown_s, energy_j, completed = run_batch_iteration(
-            world, bench, unconstrained()
+            world, bench, (unconstrained(),) * len(users)
         )
         world.finalize()
 

@@ -109,20 +109,23 @@ class DeviceTask:
 
 @dataclass(frozen=True)
 class BatchTask:
-    """One fleet shard's full iteration batch, run through a BatchedWorld.
+    """One batched cohort's full iteration batch, run through a BatchedWorld.
 
-    The shard's units advance in lock-step inside a single worker (see
-    :mod:`repro.core.batch_runner`); a mixed-model shard runs as
-    per-model cohort blocks within that one world.  The payload carries
-    one :class:`DeviceResult` per unit, in shard order.  Shards are
-    contiguous fleet slices — on mixed fleets the runner snaps shard cuts
-    to model boundaries so cohort blocks stay whole — so flattening
-    payloads in submission order reassembles the fleet ordering a serial
-    run would produce.
+    The units advance in lock-step inside a single worker (see
+    :mod:`repro.core.batch_runner`); a mixed-model task runs as
+    per-model cohort blocks within that one world.  ``experiments``
+    holds one workload per unit, so a study ships each model's
+    UNCONSTRAINED and FIXED-FREQUENCY fleets as one cohort, each unit
+    pinned to its own workload's clock.  The payload carries one
+    :class:`DeviceResult` per unit, in task order; the runner maps them
+    back to their fleets.  A single fleet run with several jobs is cut
+    into contiguous shards (snapped to model boundaries on mixed fleets
+    so cohort blocks stay whole), so flattening payloads in submission
+    order reassembles the fleet ordering a serial run would produce.
     """
 
     devices: tuple
-    experiment: ExperimentSpec
+    experiments: tuple  # of ExperimentSpec, one per unit
     config: "CampaignConfig"
     ambient_c: Optional[float] = None
     iterations: Optional[int] = None
@@ -219,7 +222,7 @@ def _run(task: "Task") -> List[DeviceResult]:
 
         return run_batch(
             list(task.devices),
-            task.experiment,
+            task.experiments,
             task.config,
             ambient_c=task.ambient_c,
             iterations=task.iterations,

@@ -82,8 +82,8 @@ def iteration_result(
 
 
 def pin_frequency(target, fixed_freq_mhz: Optional[float]) -> None:
-    """Pin a device (or batched world) at a frequency; ``None`` hands the
-    clock back to the performance governor."""
+    """Pin a device at a frequency; ``None`` hands the clock back to the
+    performance governor."""
     if fixed_freq_mhz is None:
         target.unconstrain_frequency()
     else:

@@ -77,7 +77,7 @@ def run_short_protocol(devices):
     world = BatchedWorld(
         devices, room_temp_c=AMBIENT, dt=0.1, trace_decimation=5
     )
-    world.unconstrain_frequency()
+    world.pin_frequencies([None] * world.count)
     world.acquire_wakelock()
     world.start_load()
     world.set_phase("warmup")

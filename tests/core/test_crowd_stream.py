@@ -34,7 +34,11 @@ from repro.core.crowd_stream import (
     load_checkpoint,
     run_streaming_crowd_study,
 )
-from repro.errors import ConfigurationError
+from repro.errors import (
+    ConfigurationError,
+    InvariantViolation,
+    SimulationError,
+)
 from repro.sim.batch import BatchedWorld
 from repro.sim.engine import World
 from repro.thermal.ambient import ConstantAmbient
@@ -381,6 +385,36 @@ class TestGuards:
             )
         with pytest.raises(ConfigurationError):
             execute_cohort(micro_config, 0, ())
+
+
+class TestCohortInvariants:
+    """``protocol.check_invariants`` reaches the cohort's batched world.
+
+    Seed 403's cohort 1 (users 128-255) holds ``crowd-227``, a Nexus 5
+    that runs away past the junction ceiling before its load outgrows
+    the battery (a model fault of its own, still open).  Armed
+    invariants must name the runaway; unarmed, the battery error stands.
+    """
+
+    def cohort(self, check_invariants):
+        protocol = replace(
+            CrowdConfig().protocol, check_invariants=check_invariants
+        )
+        config = CrowdConfig(user_count=1024, root_seed=403, protocol=protocol)
+        rng = crowd_param_stream(config)
+        plan_users(config, rng, 0, 128)
+        return config, plan_users(config, rng, 128, 128)
+
+    def test_armed_invariants_catch_the_runaway(self):
+        config, users = self.cohort(check_invariants=True)
+        with pytest.raises(InvariantViolation, match="temperature-bounds") as caught:
+            execute_cohort(config, 1, users)
+        assert "crowd-227" in str(caught.value)
+
+    def test_unarmed_cohort_still_hits_the_battery_limit(self):
+        config, users = self.cohort(check_invariants=False)
+        with pytest.raises(SimulationError, match="battery can deliver"):
+            execute_cohort(config, 1, users)
 
 
 class TestBatchedFieldPhysics:

@@ -119,7 +119,7 @@ def run_batched(devices, use_box, warmup_s=12.0):
     world = BatchedWorld(
         devices, room_temp_c=room, chamber=chamber, dt=DT, trace_decimation=DECIM
     )
-    world.unconstrain_frequency()
+    world.pin_frequencies([None] * world.count)
     world.acquire_wakelock()
     world.start_load()
     world.set_phase("warmup")
