@@ -347,7 +347,8 @@ class BatchedInvariantSuite:
     land.  The per-unit state lives here as arrays, judged by the same
     predicates and message builders :class:`InvariantSuite` drives; a
     violation raises the same diagnostic for the first offending unit in
-    fleet order.
+    fleet order, naming the unit by its entry in ``labels`` (its serial,
+    plus its workload when the campaign runner built the cohort).
 
     Asleep macro windows integrate supply power over the whole window
     (exactly what the serial meter accumulates) and enforce monotone
@@ -357,14 +358,14 @@ class BatchedInvariantSuite:
 
     def __init__(
         self,
-        serials: Sequence[str],
+        labels: Sequence[str],
         node_temps_c: np.ndarray,
         meter_j: np.ndarray,
         throttle_steps: np.ndarray,
         throttle: ThrottleSpec,
     ) -> None:
-        count = len(serials)
-        self.serials = list(serials)
+        count = len(labels)
+        self.labels = list(labels)
         self.energy, self.bounds, self.cooldown, self.throttle, self.trace_time = (
             default_invariants()
         )
@@ -423,7 +424,7 @@ class BatchedInvariantSuite:
             j = int(np.flatnonzero(stale)[0])
             raise violation(
                 self.trace_time.name, self.trace_time.message(times_s[j], last[j]),
-                float(times_s[j]), None, self.serials[int(units[j])],
+                float(times_s[j]), None, self.labels[int(units[j])],
             )
         self._last_trace_s[units] = times_s
 
@@ -461,5 +462,5 @@ class BatchedInvariantSuite:
         if bad.any():
             i = int(np.flatnonzero(bad)[0])
             raise violation(
-                invariant.name, message(i), float(now_s[i]), phase, self.serials[i]
+                invariant.name, message(i), float(now_s[i]), phase, self.labels[i]
             )

@@ -27,7 +27,7 @@ from repro.check.differential import (
     run_pairing,
 )
 from repro.core.batch_runner import batch_ineligibility_reason
-from repro.core.experiments import fixed_frequency, unconstrained
+from repro.core.experiments import unconstrained
 from repro.device.catalog import DEVICE_NAMES, device_spec
 from repro.device.fleet import PAPER_FLEETS, build_device, paper_fleet
 from repro.thermal.skin import SkinThrottleSpec
@@ -68,22 +68,16 @@ SCENARIOS = {
 class TestEligibilityMatrix:
     @pytest.mark.parametrize("model", list(DEVICE_NAMES))
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-    @pytest.mark.parametrize("workload", ["unconstrained", "fixed-frequency"])
-    def test_every_catalog_scenario_is_batchable(self, model, scenario, workload):
+    def test_every_catalog_scenario_is_batchable(self, model, scenario):
         config, fleet_for = SCENARIOS[scenario]
-        experiment = (
-            unconstrained()
-            if workload == "unconstrained"
-            else fixed_frequency(device_spec(model))
-        )
-        reason = batch_ineligibility_reason(config, experiment, fleet_for(model))
+        reason = batch_ineligibility_reason(config, fleet_for(model))
         assert reason is None, f"{model}/{scenario}: {reason}"
 
     @pytest.mark.parametrize("model", list(DEVICE_NAMES))
     def test_mixed_fleet_with_every_model_is_batchable(self, model):
         partner = next(name for name in DEVICE_NAMES if name != model)
         fleet = expm_fleet(model) + expm_fleet(partner)
-        reason = batch_ineligibility_reason(base_config(), unconstrained(), fleet)
+        reason = batch_ineligibility_reason(base_config(), fleet)
         assert reason is None
 
     def test_euler_fleets_stay_serial(self):
@@ -91,19 +85,17 @@ class TestEligibilityMatrix:
         config = replace(
             config, accubench=replace(config.accubench, thermal_solver="euler")
         )
-        reason = batch_ineligibility_reason(
-            config, unconstrained(), paper_fleet(MODEL)
-        )
+        reason = batch_ineligibility_reason(config, paper_fleet(MODEL))
         assert reason == "thermal_solver is not 'expm'"
 
     def test_disabled_fast_forward_stays_serial(self):
         reason = batch_ineligibility_reason(
-            base_config(sleep_fast_forward=False), unconstrained(), expm_fleet(MODEL)
+            base_config(sleep_fast_forward=False), expm_fleet(MODEL)
         )
         assert reason == "sleep_fast_forward is disabled"
 
     def test_empty_fleet_stays_serial(self):
-        reason = batch_ineligibility_reason(base_config(), unconstrained(), [])
+        reason = batch_ineligibility_reason(base_config(), [])
         assert reason == "empty fleet"
 
 

@@ -27,15 +27,19 @@ class TestMargin:
         assert block.margin_mv(0.0) == block.base_margin_mv
 
 
+def adjust_v(block, profile, die_temp_c):
+    return block.voltage_adjust_v(block.compensation_v(profile), die_temp_c)
+
+
 class TestVoltageAdjust:
     def test_nominal_die_gets_margin_only(self, block):
-        adjust = block.voltage_adjust_v(SiliconProfile.nominal(), 25.0)
+        adjust = adjust_v(block, SiliconProfile.nominal(), 25.0)
         assert adjust == pytest.approx(block.base_margin_mv / 1000.0)
 
     def test_slow_die_gets_more_voltage(self, block):
         slow = SiliconProfile.from_vth_delta(PROCESS_20NM_PLANAR, +0.02)
         fast = SiliconProfile.from_vth_delta(PROCESS_20NM_PLANAR, -0.02)
-        assert block.voltage_adjust_v(slow, 25.0) > block.voltage_adjust_v(fast, 25.0)
+        assert adjust_v(block, slow, 25.0) > adjust_v(block, fast, 25.0)
 
     def test_compensation_is_partial(self, block):
         # The loop recovers only part of the ideal compensation: the
@@ -43,15 +47,13 @@ class TestVoltageAdjust:
         # full volt_per_vth swing.
         slow = SiliconProfile.from_vth_delta(PROCESS_20NM_PLANAR, +0.02)
         fast = SiliconProfile.from_vth_delta(PROCESS_20NM_PLANAR, -0.02)
-        swing = block.voltage_adjust_v(slow, 25.0) - block.voltage_adjust_v(fast, 25.0)
+        swing = adjust_v(block, slow, 25.0) - adjust_v(block, fast, 25.0)
         ideal = PROCESS_20NM_PLANAR.volt_per_vth * 0.04
         assert swing == pytest.approx(block.compensation_factor * ideal)
 
     def test_hot_die_voltage_drops(self, block):
         nominal = SiliconProfile.nominal()
-        assert block.voltage_adjust_v(nominal, 80.0) < block.voltage_adjust_v(
-            nominal, 25.0
-        )
+        assert adjust_v(block, nominal, 80.0) < adjust_v(block, nominal, 25.0)
 
 
 class TestValidation:
