@@ -16,19 +16,13 @@ from benchmarks.conftest import bench_accubench_config
 
 def fleet_spread(memory_boundedness: float) -> float:
     """Nexus 5 bin-0 vs bin-3 performance spread under a given workload."""
-    bench = Accubench(bench_accubench_config(iterations=1))
+    bench = Accubench(
+        bench_accubench_config(iterations=1, memory_boundedness=memory_boundedness)
+    )
     scores = {}
     for index in (0, 3):
         device = build_device(PAPER_FLEETS["Nexus 5"][index])
         device.connect_supply(MonsoonPowerMonitor(3.8))
-        # run_iteration drives start_load(); re-apply the workload profile
-        # by configuring the SoC directly before the run.
-        original_start = device.start_load
-
-        def start_with_profile(utilization=1.0, _orig=original_start, _beta=memory_boundedness):
-            _orig(utilization=utilization, memory_boundedness=_beta)
-
-        device.start_load = start_with_profile  # type: ignore[method-assign]
         result = bench.run_iteration(device, unconstrained())
         scores[index] = result.iterations_completed
     return (scores[0] - scores[3]) / scores[3]

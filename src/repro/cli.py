@@ -517,11 +517,11 @@ def _cmd_table2(args: argparse.Namespace) -> int:
 
 def _cmd_estimate_ambient(args: argparse.Namespace) -> int:
     from repro.core.ambient_estimation import cooldown_probe
-    from repro.device.fleet import PAPER_FLEETS, build_device
+    from repro.device.fleet import build_device, paper_units
     from repro.instruments.monsoon import MonsoonPowerMonitor
     from repro.thermal.ambient import ConstantAmbient
 
-    unit = PAPER_FLEETS[args.model][0]
+    unit = paper_units(args.model)[0]
     device = build_device(unit, initial_temp_c=args.ambient)
     device.connect_supply(MonsoonPowerMonitor(device.spec.battery.nominal_v))
     estimate = cooldown_probe(

@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.core.analysis import normalize
-from repro.core.efficiency import EfficiencyPoint
 from repro.core.results import ExperimentResult
 from repro.errors import AnalysisError
-from repro.sim.trace import Trace
 
 
 @dataclass(frozen=True)
@@ -97,63 +95,6 @@ def bar_series(
             ("unit_index", tuple(float(i) for i in range(len(raw)))),
             ("raw", tuple(raw)),
             ("normalized", tuple(normalized)),
-        ),
-    )
-
-
-def trace_series(
-    trace: Trace, channels: Sequence[str], name: str = "trace"
-) -> Series:
-    """Time-domain figure data (Figures 4, 5) from a protocol trace."""
-    if not channels:
-        raise AnalysisError("pick at least one channel")
-    columns: List[Tuple[str, Tuple[float, ...]]] = [
-        ("time_s", tuple(float(t) for t in trace.times()))
-    ]
-    for channel in channels:
-        columns.append(
-            (channel, tuple(float(v) for v in trace.column(channel)))
-        )
-    return Series(
-        name=name,
-        x_label="time (s)",
-        y_label=", ".join(channels),
-        columns=tuple(columns),
-    )
-
-
-def efficiency_figure(points: Sequence[EfficiencyPoint]) -> Series:
-    """Figure 13 data: per-generation efficiency."""
-    if not points:
-        raise AnalysisError("no efficiency points")
-    ordered = sorted(points, key=lambda p: (p.year, p.soc))
-    return Series(
-        name="fig13-efficiency",
-        x_label="generation index (see SoC order)",
-        y_label="iterations per kJ",
-        columns=(
-            ("generation_index", tuple(float(i) for i in range(len(ordered)))),
-            ("iters_per_kj", tuple(p.mean_iters_per_kj for p in ordered)),
-        ),
-    )
-
-
-def histogram_series(
-    counts: Sequence[float], edges: Sequence[float], name: str
-) -> Series:
-    """Figure 11/12 distribution data from a numpy histogram pair."""
-    if len(edges) != len(counts) + 1:
-        raise AnalysisError("edges must be one longer than counts")
-    centers = tuple(
-        (float(lo) + float(hi)) / 2.0 for lo, hi in zip(edges, list(edges)[1:])
-    )
-    return Series(
-        name=name,
-        x_label="bin center",
-        y_label="samples",
-        columns=(
-            ("bin_center", centers),
-            ("count", tuple(float(c) for c in counts)),
         ),
     )
 

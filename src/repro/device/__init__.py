@@ -8,7 +8,6 @@ handsets; the fleet module instantiates the paper's specific units.
 
 from repro.device.aging import BatteryAge, aged_battery, throttle_onset_soc
 from repro.device.battery import Battery, BatterySpec
-from repro.device.charging import ChargerSpec, ChargeStep, charge, time_to_charge_s
 from repro.device.display import Display, DisplaySpec
 from repro.device.catalog import (
     DEVICE_NAMES,
@@ -31,8 +30,6 @@ __all__ = [
     "Battery",
     "BatteryAge",
     "BatterySpec",
-    "ChargeStep",
-    "ChargerSpec",
     "DEVICE_NAMES",
     "Device",
     "Display",
@@ -46,7 +43,6 @@ __all__ = [
     "ThrottleSpec",
     "aged_battery",
     "build_device",
-    "charge",
     "device_spec",
     "google_pixel",
     "lg_g5",
@@ -56,5 +52,4 @@ __all__ = [
     "paper_fleet",
     "synthetic_fleet",
     "throttle_onset_soc",
-    "time_to_charge_s",
 ]

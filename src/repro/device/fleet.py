@@ -12,7 +12,7 @@ direction).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.device.catalog import DeviceSpec, device_spec
 from repro.device.phone import Device
@@ -151,12 +151,6 @@ def paper_fleet(
     Each device defaults to battery power; experiment runners swap in a
     Monsoon per the methodology.
     """
-    try:
-        units = PAPER_FLEETS[model]
-    except KeyError:
-        raise UnknownModelError(
-            "fleet", model, tuple(PAPER_FLEETS)
-        ) from None
     return [
         build_device(
             unit,
@@ -164,8 +158,17 @@ def paper_fleet(
             initial_temp_c=initial_temp_c,
             thermal_solver=thermal_solver,
         )
-        for unit in units
+        for unit in paper_units(model)
     ]
+
+
+def paper_units(model: str) -> Tuple[FleetUnit, ...]:
+    """The paper's units of one model; an unknown model raises
+    :class:`~repro.errors.UnknownModelError`."""
+    try:
+        return PAPER_FLEETS[model]
+    except KeyError:
+        raise UnknownModelError("fleet", model, tuple(PAPER_FLEETS)) from None
 
 
 def synthetic_fleet(

@@ -9,13 +9,11 @@ The paper's numbers come from two instruments, both modelled here:
   at 26 ± 0.5 °C.
 """
 
-from repro.instruments.logger import ExperimentLogger
 from repro.instruments.monsoon import MonsoonPowerMonitor
 from repro.instruments.probe import ThermistorProbe
 from repro.instruments.thermabox import Thermabox, ThermaboxConfig
 
 __all__ = [
-    "ExperimentLogger",
     "MonsoonPowerMonitor",
     "Thermabox",
     "ThermaboxConfig",

@@ -13,10 +13,8 @@ the simulator level.  It is process-local and zero-dependency:
 * Exporters — :func:`write_metrics`/:func:`read_metrics` (JSON document),
   :func:`prometheus_text` (text exposition format, with
   :func:`parse_prometheus_text` as its reference parser),
-  :func:`format_summary` (human table),
-  :func:`span_tree`/:func:`format_span_tree` (dual-clock hierarchy), and
-  :func:`write_events_jsonl`/:func:`read_events_jsonl` for engine event
-  streams.
+  :func:`format_summary` (human table) and
+  :func:`span_tree`/:func:`format_span_tree` (dual-clock hierarchy).
 * :class:`TaskProgress`/:class:`ProgressPrinter` — per-task completion
   events from campaign execution, live as workers finish.
 * The live telemetry plane — :class:`ProgressBus` (always-current run
@@ -32,11 +30,6 @@ the parent merges the snapshot (:meth:`MetricsRegistry.merge_snapshot`), so a
 ``jobs=8`` campaign produces one coherent document.
 """
 
-from repro.obs.events import (
-    EVENTS_FORMAT,
-    read_events_jsonl,
-    write_events_jsonl,
-)
 from repro.obs.export import (
     aggregate_spans,
     as_document,
@@ -96,7 +89,6 @@ __all__ = [
     "Counter",
     "DEFAULT_TIME_BUCKETS",
     "DropRateSpikeRule",
-    "EVENTS_FORMAT",
     "Gauge",
     "Histogram",
     "MANIFEST_FORMAT",
@@ -128,7 +120,6 @@ __all__ = [
     "manifest_path_for",
     "parse_prometheus_text",
     "prometheus_text",
-    "read_events_jsonl",
     "read_manifest",
     "read_metrics",
     "rss_mb",
@@ -137,7 +128,6 @@ __all__ = [
     "use_registry",
     "validate_manifest",
     "watch_url",
-    "write_events_jsonl",
     "write_manifest",
     "write_metrics",
 ]

@@ -19,13 +19,6 @@ from repro.soc.catalog import (
 )
 from repro.soc.cluster import ClusterSpec, ClusterState
 from repro.soc.core import CoreState
-from repro.soc.cpuidle import (
-    IdleState,
-    MenuGovernor,
-    best_state_by_energy,
-    qcom_idle_ladder,
-    sleep_residency_fraction,
-)
 from repro.soc.dvfs import (
     Governor,
     InteractiveGovernor,
@@ -36,13 +29,6 @@ from repro.soc.dvfs import (
 from repro.soc.instance import Soc
 from repro.soc.perf import PI_ITERATION_OPS, iterations_from_ops, ops_rate
 from repro.soc.rbcpr import RbcprBlock
-from repro.soc.scheduler import (
-    Placement,
-    busy_core_count,
-    idle_all,
-    place_threads,
-    sweep_thread_counts,
-)
 from repro.soc.throttling import (
     CoreShutdownPolicy,
     MitigationState,
@@ -56,14 +42,11 @@ __all__ = [
     "CoreShutdownPolicy",
     "CoreState",
     "Governor",
-    "IdleState",
     "InteractiveGovernor",
-    "MenuGovernor",
     "MitigationState",
     "OndemandGovernor",
     "PI_ITERATION_OPS",
     "PerformanceGovernor",
-    "Placement",
     "RbcprBlock",
     "SOC_NAMES",
     "Soc",
@@ -72,19 +55,12 @@ __all__ = [
     "ThrottlePolicy",
     "UserspaceGovernor",
     "VoltageMode",
-    "best_state_by_energy",
-    "busy_core_count",
-    "idle_all",
     "iterations_from_ops",
     "ops_rate",
-    "place_threads",
-    "qcom_idle_ladder",
     "sd800",
     "sd805",
     "sd810",
     "sd820",
     "sd821",
-    "sleep_residency_fraction",
     "soc_by_name",
-    "sweep_thread_counts",
 ]

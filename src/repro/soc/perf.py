@@ -26,10 +26,6 @@ _NEXUS6_TOP_MHZ = 2649.0
 #: frequency (paper Section III).
 PI_ITERATION_OPS = mhz_to_hz(_NEXUS6_TOP_MHZ) * 1.0
 
-#: Digits computed per iteration (paper Section III) — used by the real
-#: spigot workload in :mod:`repro.workloads.pi_digits`.
-PI_DIGITS_PER_ITERATION = 4285
-
 
 def ops_rate(freq_mhz: float, ipc: float) -> float:
     """Work retired per second by one fully-busy core, ops/s."""

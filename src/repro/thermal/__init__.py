@@ -15,12 +15,6 @@ from repro.thermal.ambient import (
     StepAmbient,
     sweep,
 )
-from repro.thermal.floorplan import (
-    Block,
-    Floorplan,
-    GridThermalModel,
-    sd800_floorplan,
-)
 from repro.thermal.integrator import StableEuler
 from repro.thermal.network import ThermalLink, ThermalNetwork, ThermalNode
 from repro.thermal.propagator import ExpmPropagator
@@ -29,9 +23,6 @@ from repro.thermal.skin import SkinModel, SkinThrottle, SkinThrottleSpec
 
 __all__ = [
     "AmbientProfile",
-    "Block",
-    "Floorplan",
-    "GridThermalModel",
     "ConstantAmbient",
     "DiurnalAmbient",
     "ExpmPropagator",
@@ -45,6 +36,5 @@ __all__ = [
     "ThermalLink",
     "ThermalNetwork",
     "ThermalNode",
-    "sd800_floorplan",
     "sweep",
 ]

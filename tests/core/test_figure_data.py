@@ -1,20 +1,14 @@
 """Figure data export."""
 
-import numpy as np
 import pytest
 
-from repro.core.efficiency import EfficiencyPoint
 from repro.core.figure_data import (
     Series,
     bar_series,
-    efficiency_figure,
     export_bundle,
-    histogram_series,
-    trace_series,
 )
 from repro.core.results import DeviceResult, ExperimentResult, IterationResult
 from repro.errors import AnalysisError
-from repro.sim.trace import Trace
 
 
 def experiment():
@@ -83,46 +77,6 @@ class TestBarSeries:
     def test_unknown_metric_rejected(self):
         with pytest.raises(AnalysisError):
             bar_series(experiment(), "latency")
-
-
-class TestTraceSeries:
-    def test_time_plus_channels(self):
-        trace = Trace(["cpu_temp", "freq"])
-        for i in range(5):
-            trace.record(float(i), cpu_temp=40.0 + i, freq=2000.0)
-        series = trace_series(trace, ["cpu_temp", "freq"], name="fig04")
-        assert series.column("time_s") == (0.0, 1.0, 2.0, 3.0, 4.0)
-        assert series.column("cpu_temp")[-1] == 44.0
-
-    def test_needs_channels(self):
-        with pytest.raises(AnalysisError):
-            trace_series(Trace(["x"]), [])
-
-
-class TestEfficiencyFigure:
-    def test_generation_ordering(self):
-        points = [
-            EfficiencyPoint("b", "SD-820", 2016, 900.0, (("u", 900.0),)),
-            EfficiencyPoint("a", "SD-800", 2013, 650.0, (("u", 650.0),)),
-        ]
-        series = efficiency_figure(points)
-        assert series.column("iters_per_kj") == (650.0, 900.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(AnalysisError):
-            efficiency_figure([])
-
-
-class TestHistogramSeries:
-    def test_from_numpy_histogram(self):
-        counts, edges = np.histogram([1.0, 1.2, 3.0, 3.1], bins=2)
-        series = histogram_series(counts, edges, "fig11-freq")
-        assert series.row_count == 2
-        assert sum(series.column("count")) == 4
-
-    def test_mismatched_edges_rejected(self):
-        with pytest.raises(AnalysisError):
-            histogram_series([1.0, 2.0], [0.0, 1.0], "bad")
 
 
 class TestExportBundle:

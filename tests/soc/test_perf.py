@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.soc.perf import (
-    PI_DIGITS_PER_ITERATION,
     PI_ITERATION_OPS,
     iterations_from_ops,
     ops_rate,
@@ -12,9 +11,6 @@ from repro.soc.perf import (
 
 
 class TestAnchors:
-    def test_digit_count_matches_paper(self):
-        assert PI_DIGITS_PER_ITERATION == 4285
-
     def test_one_iteration_is_one_second_on_nexus6_core(self):
         # Paper Section III: 4,285 digits take ~1 s at the Nexus 6's top
         # frequency.  One Krait core at 2649 MHz retires exactly one

@@ -239,6 +239,11 @@ class TestEstimateAmbient:
         assert "estimated" in out
         assert "true ambient 30.0" in out
 
+    def test_unknown_model_is_clean_error(self, capsys):
+        code = main(["estimate-ambient", "nexus-5"])
+        assert code == 1
+        assert "unknown fleet" in capsys.readouterr().err
+
 
 class TestCrowd:
     def test_small_crowd(self, capsys):
