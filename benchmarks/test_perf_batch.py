@@ -17,17 +17,20 @@ physics.  Two benches:
   where the vectorization pays for its per-step fixed cost.  The small
   sizes are the Table II fleets (3-5 units per workload, 8-10 per merged
   study cohort); the same small sizes are also swept on an RBCPR part
-  (:data:`RBCPR_MODEL`), whose per-step voltage adjust keeps the batched
-  governor block off its replay cache.
+  (:data:`RBCPR_MODEL`), whose per-step voltage adjust recomputes the
+  voltage-dependent half of the batched governor block every step.
+  Each arm's rate is the median of :data:`SCALING_REPEATS` interleaved
+  runs, recorded with its interquartile range (as a percentage of the
+  median) so a small-N reading comes with its spread.
 * mixed-fleet scaling at N ∈ {8, 32, 128} over two interleaved models:
   the cohort facade advances per-model blocks sequentially, so its
-  speedup is bounded by the largest cohort — recorded per size, with a
-  lower env-gated floor (≥3x at N=32) than the homogeneous bench and the
-  same unconditional :data:`~repro.check.BATCH_SPEC` parity gate.  Two
-  models keep every cohort on the governor replay cache (parts with
-  per-step RBCPR voltage adjust rebuild the governor block each step,
-  see ``repro.sim.batch``); a longer workload than the homogeneous
-  sweep amortizes the per-cohort world setup inside the measured wall.
+  speedup is bounded by the largest cohort — recorded per size (best of
+  :data:`MIXED_REPEATS`), with a lower env-gated floor (≥3x at N=32)
+  than the homogeneous bench and the same unconditional
+  :data:`~repro.check.BATCH_SPEC` parity gate.  Two binned models keep
+  every cohort's governor block fully on its replay cache; a longer
+  workload than the homogeneous sweep amortizes the per-cohort world
+  setup inside the measured wall.
 
 Results land in ``BENCH_batch.json`` at the repository root.
 """
@@ -35,6 +38,7 @@ Results land in ``BENCH_batch.json`` at the repository root.
 from __future__ import annotations
 
 import os
+import statistics
 import time
 
 import pytest
@@ -58,7 +62,8 @@ SCALING_FLEET_SIZES = (1, 3, 4, 5, 8, 10, 32, 128)
 RBCPR_MODEL = "LG G5"
 RBCPR_SCALING_SIZES = (3, 4, 5, 10)
 SCALING_SCALE = 0.15
-SCALING_REPEATS = 2
+SCALING_REPEATS = 5
+MIXED_REPEATS = 2
 MIXED_MODELS = ("Nexus 5", "Nexus 6")
 MIXED_FLEET_SIZES = (8, 32, 128)
 MIXED_SCALE = 0.4
@@ -162,26 +167,38 @@ def test_batched_fleet_speedup():
     )
 
 
+def _median_iqr_pct(values):
+    """Median of ``values`` and their interquartile range as a percentage
+    of it."""
+    median = statistics.median(values)
+    lower, _, upper = statistics.quantiles(values, n=4, method="inclusive")
+    return median, 100.0 * (upper - lower) / median
+
+
 def _scaling_sweep(model: str, sizes) -> dict:
-    """Best-of batched vs serial unit-steps/sec per fleet size."""
+    """Median batched vs serial unit-steps/sec per fleet size, with spread."""
     scaling = {}
     for count in sizes:
-        best = {"serial": 0.0, "batched": 0.0}
+        rates = {"serial": [], "batched": []}
         for _ in range(SCALING_REPEATS):
             for arm, batch in (("serial", False), ("batched", True)):
                 rate, _ = _fleet_rate(
                     count, batch, scale=SCALING_SCALE, model=model
                 )
-                best[arm] = max(best[arm], rate)
+                rates[arm].append(rate)
+        serial, serial_iqr = _median_iqr_pct(rates["serial"])
+        batched, batched_iqr = _median_iqr_pct(rates["batched"])
         scaling[count] = {
-            "serial": round(best["serial"], 1),
-            "batched": round(best["batched"], 1),
-            "speedup": round(best["batched"] / best["serial"], 3),
+            "serial": round(serial, 1),
+            "batched": round(batched, 1),
+            "speedup": round(batched / serial, 3),
+            "serial_iqr_pct": round(serial_iqr, 1),
+            "batched_iqr_pct": round(batched_iqr, 1),
         }
         print(
-            f"\n{model} N={count}: serial {best['serial']:,.0f} "
-            f"unit-steps/s, batched {best['batched']:,.0f} "
-            f"({scaling[count]['speedup']:.2f}x)"
+            f"\n{model} N={count}: serial {serial:,.0f} unit-steps/s "
+            f"(IQR {serial_iqr:.1f}%), batched {batched:,.0f} "
+            f"(IQR {batched_iqr:.1f}%) ({scaling[count]['speedup']:.2f}x)"
         )
     return scaling
 
@@ -192,26 +209,19 @@ def test_batch_size_scaling():
     # checks) is amortized over N rows, so N=1 is expected to lose.
     scaling = _scaling_sweep(MODEL, SCALING_FLEET_SIZES)
     rbcpr = _scaling_sweep(RBCPR_MODEL, RBCPR_SCALING_SIZES)
-    _merge_results(
-        {
-            f"batch_scaling[{count}]": entry["speedup"]
-            for count, entry in scaling.items()
-        }
-        | {
-            f"batch_scaling_batched_steps_per_sec[{count}]": entry["batched"]
-            for count, entry in scaling.items()
-        }
-        | {
-            "batch_cpu_count": len(os.sched_getaffinity(0)),
-            "batch_scaling_repeats": SCALING_REPEATS,
-            "batch_rbcpr_model": RBCPR_MODEL,
-        }
-        | {
-            f"batch_rbcpr_scaling[{count}]": entry["speedup"]
-            for count, entry in rbcpr.items()
-        },
-        path=RESULTS_PATH,
-    )
+    record = {
+        "batch_cpu_count": len(os.sched_getaffinity(0)),
+        "batch_scaling_repeats": SCALING_REPEATS,
+        "batch_rbcpr_model": RBCPR_MODEL,
+    }
+    for prefix, sweep in (("batch_scaling", scaling), ("batch_rbcpr_scaling", rbcpr)):
+        for count, entry in sweep.items():
+            record[f"{prefix}[{count}]"] = entry["speedup"]
+            record[f"{prefix}_serial_iqr_pct[{count}]"] = entry["serial_iqr_pct"]
+            record[f"{prefix}_batched_iqr_pct[{count}]"] = entry["batched_iqr_pct"]
+    for count, entry in scaling.items():
+        record[f"batch_scaling_batched_steps_per_sec[{count}]"] = entry["batched"]
+    _merge_results(record, path=RESULTS_PATH)
 
 
 def test_mixed_fleet_scaling():
@@ -223,7 +233,7 @@ def test_mixed_fleet_scaling():
     gate_results = {}
     for count in MIXED_FLEET_SIZES:
         best = {"serial": 0.0, "batched": 0.0}
-        for _ in range(SCALING_REPEATS):
+        for _ in range(MIXED_REPEATS):
             for arm, batch in (("serial", False), ("batched", True)):
                 rate, result = _fleet_rate(
                     count, batch, scale=MIXED_SCALE, mixed=True

@@ -474,7 +474,9 @@ def write_checkpoint(
     }
     if telemetry is not None:
         document["telemetry"] = dict(telemetry)
-    write_atomic(path, lambda fp: json.dump(document, fp))
+    # ``json.dumps`` runs the C encoder; ``json.dump`` always takes the
+    # pure-Python ``iterencode`` path.  The bytes are the same.
+    write_atomic(path, lambda fp: fp.write(json.dumps(document)))
 
 
 def load_checkpoint(path: str, fingerprint: str) -> Dict[str, Any]:

@@ -11,11 +11,12 @@ voltage is at or below a threshold, the OS caps the CPU frequency.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.rng import NormalBlocks
 
 
 @dataclass(frozen=True)
@@ -67,6 +68,9 @@ class OsBehavior:
         Optional input-voltage throttling policy (LG G5).
     rng:
         Stream for the noise; ``None`` makes the residual deterministic.
+        Its normals are read a block at a time (:class:`NormalBlocks`), so
+        the generator runs ahead of the draws taken until
+        :meth:`hand_back`, which the engine calls at the end of every run.
     """
 
     background_power_w: float = 0.015
@@ -80,6 +84,9 @@ class OsBehavior:
     _wakelock_held: bool = field(default=False, init=False)
     _steal_frac: float = field(default=0.0, init=False)
     _steal_until_s: float = field(default=0.0, init=False)
+    _draws: Optional[NormalBlocks] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.background_power_w < 0:
@@ -94,6 +101,25 @@ class OsBehavior:
             raise ConfigurationError("steal_interval_s must be positive")
         if (self.background_sigma_w > 0 or self.steal_sigma > 0) and self.rng is None:
             raise ConfigurationError("noisy OS behaviour requires an rng")
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # Pickle the generator where the draws taken leave it, without
+        # the read-ahead block (the next draw starts a new one).
+        self.hand_back()
+        state = dict(self.__dict__)
+        state["_draws"] = None
+        return state
+
+    def hand_back(self) -> None:
+        """Leave :attr:`rng` exactly where the draws taken so far end."""
+        if self._draws is not None:
+            self._draws.hand_back()
+
+    def _standard_normal(self) -> float:
+        draws = self._draws
+        if draws is None:  # first draw: most devices never step serially
+            draws = self._draws = NormalBlocks([self.rng])
+        return draws.take_one(0)
 
     @property
     def wakelock_held(self) -> bool:
@@ -112,7 +138,9 @@ class OsBehavior:
         """Sample this step's residual background power, watts."""
         noise = self.background_power_w
         if self.background_sigma_w > 0 and self.rng is not None:
-            noise += float(self.rng.normal(0.0, self.background_sigma_w))
+            # normal(0, σ) is 0.0 + σ·z; that 0.0 only flips the sign of a
+            # zero draw, which adding the background power cancels.
+            noise += self.background_sigma_w * self._standard_normal()
         return max(0.0, noise)
 
     def steal_frac(self, now_s: float) -> float:
@@ -120,7 +148,7 @@ class OsBehavior:
         if self.rng is None or self.steal_sigma == 0 and self.steal_mean == 0:
             return 0.0
         if now_s >= self._steal_until_s:
-            sampled = float(self.rng.normal(self.steal_mean, self.steal_sigma))
+            sampled = self.steal_mean + self.steal_sigma * self._standard_normal()
             self._steal_frac = min(max(sampled, 0.0), self.steal_max)
             self._steal_until_s = now_s + self.steal_interval_s
         return self._steal_frac

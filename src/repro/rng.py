@@ -12,12 +12,16 @@ Streams are derived from a root seed plus a tuple of string/int keys::
 
 The derivation hashes the keys through ``numpy.random.SeedSequence`` entropy,
 which gives independent, well-distributed streams.
+
+:class:`NormalBlocks` reads standard normals from such streams a block at
+a time, bit for bit as the per-call draws would give them; both engines
+take their OS noise through it, and the batched engine its sensor noise.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -25,6 +29,9 @@ StreamKey = Union[str, int]
 
 #: Root seed used by catalog builders unless a caller overrides it.
 DEFAULT_ROOT_SEED = 20190324  # ISPASS 2019 opening day.
+
+#: Standard normals read ahead per row (see NormalBlocks).
+BLOCK_LENGTH = 256
 
 
 def _key_to_int(key: StreamKey) -> int:
@@ -52,3 +59,99 @@ def derive_stream(root_seed: int, *keys: StreamKey) -> np.random.Generator:
 def derive_seed(root_seed: int, *keys: StreamKey) -> int:
     """Return a stable derived integer seed for (root_seed, \\*keys)."""
     return int(derive_stream(root_seed, *keys).integers(0, 2**63 - 1))
+
+
+class NormalBlocks:
+    """Each row's upcoming standard normals, drawn a block at a time.
+
+    Row ``i`` holds the next block of generator ``i``, read with one
+    ``standard_normal(K)`` call — which consumes the stream exactly as
+    ``K`` scalar ``normal`` calls do — and a per-row cursor marks the next
+    unused draw.  ``normal(loc, scale)`` is then ``loc + scale * z``, the
+    same two IEEE operations numpy's scalar sampler performs, so every
+    value is bit-identical to the per-call draw and every row keeps its
+    per-call draw order.  The batched engine holds one row per unit and
+    takes whole columns (:meth:`take_all`, :meth:`take`); a serial
+    device's ``OsBehavior`` holds one row and takes scalars
+    (:meth:`take_one`).
+
+    The generators run ahead of what was consumed until :meth:`hand_back`
+    rewinds each one to the start of its current block and redraws
+    exactly the values taken, leaving it where the per-call draws would.
+    Readers of a generator's state must see it handed back: the engines
+    hand back at the end of every call.  Rows whose generator is ``None``
+    must never be taken from.
+    """
+
+    __slots__ = (
+        "_rngs", "_length", "_block", "_rows", "_cursor", "_cursor_max", "_starts",
+    )
+
+    def __init__(self, rngs: Sequence[Optional[np.random.Generator]]) -> None:
+        self._rngs = list(rngs)
+        count = len(self._rngs)
+        self._length = BLOCK_LENGTH
+        self._block = np.empty((count, self._length))
+        self._rows = np.arange(count)
+        # Every row starts exhausted, so the first take fills it.
+        self._cursor = np.full(count, self._length, dtype=np.int64)
+        # Upper bound on every cursor: while it is below the block length
+        # no row is exhausted, so the per-step all-row take skips the
+        # vector scan (which would cost more than the take itself at
+        # small cohort sizes).
+        self._cursor_max = self._length
+        #: Generator state at the start of each row's current block.
+        self._starts: List[Optional[dict]] = [None] * count
+
+    def _refill(self, row: int) -> None:
+        rng = self._rngs[row]
+        self._starts[row] = rng.bit_generator.state
+        self._block[row] = rng.standard_normal(self._length)
+        self._cursor[row] = 0
+
+    def _refill_exhausted(self, rows: np.ndarray) -> None:
+        for row in rows[self._cursor[rows] >= self._length]:
+            self._refill(row)
+
+    def take_all(self) -> np.ndarray:
+        """Every row's next standard normal."""
+        cursor = self._cursor
+        if self._cursor_max >= self._length:
+            self._refill_exhausted(self._rows)
+            self._cursor_max = int(cursor.max())
+        z = self._block[self._rows, cursor]
+        cursor += 1
+        self._cursor_max += 1
+        return z
+
+    def take(self, rows: np.ndarray) -> np.ndarray:
+        """The next standard normal of each row in ``rows`` (indices)."""
+        self._refill_exhausted(rows)
+        at = self._cursor[rows]
+        self._cursor[rows] = at + 1
+        if rows.size:
+            self._cursor_max = max(self._cursor_max, int(at.max()) + 1)
+        return self._block[rows, at]
+
+    def take_one(self, row: int) -> float:
+        """Row ``row``'s next standard normal, as a Python float."""
+        at = self._cursor.item(row)
+        if at >= self._length:
+            self._refill(row)
+            at = 0
+        self._cursor[row] = at + 1
+        if at >= self._cursor_max:
+            self._cursor_max = at + 1
+        return self._block.item(row, at)
+
+    def hand_back(self) -> None:
+        """Leave each generator exactly where its consumed draws end."""
+        for row, start in enumerate(self._starts):
+            if start is None:
+                continue
+            rng = self._rngs[row]
+            rng.bit_generator.state = start
+            rng.standard_normal(int(self._cursor[row]))
+            self._starts[row] = None
+        self._cursor.fill(self._length)
+        self._cursor_max = self._length

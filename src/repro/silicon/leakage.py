@@ -72,6 +72,16 @@ class LeakageModel:
         temperature.  It depends only on the process and the temperature,
         so one evaluation serves every block of a die in a step.
         """
+        return self.voltage_term(profile, voltage) * temp_factor
+
+    def voltage_term(self, profile: SiliconProfile, voltage: float) -> float:
+        """:meth:`power_at` before the temperature factor is applied, watts.
+
+        This is ``P_ref · leak_factor · (V / V_ref) · exp(a · (V − V_ref))``,
+        evaluated left to right.  Multiplying the result by the factor
+        gives :meth:`power_at` bit for bit, so a caller whose voltage holds
+        can keep this term and re-apply only the temperature factor.
+        """
         if voltage < 0:
             raise ConfigurationError("voltage must be non-negative")
         if voltage == 0.0:
@@ -79,7 +89,7 @@ class LeakageModel:
         volt_term = (voltage / self.ref_voltage) * math.exp(
             self.process.leak_volt_slope * (voltage - self.ref_voltage)
         )
-        return self.leak_ref_w * profile.leak_factor * volt_term * temp_factor
+        return self.leak_ref_w * profile.leak_factor * volt_term
 
     def doubling_temperature_delta(self) -> float:
         """Temperature rise (°C) over which leakage doubles at fixed voltage."""

@@ -21,7 +21,8 @@ The batched step mirrors the serial ``World.run_for`` / ``Device.step`` /
   sensor read) comes from that unit's own generator in the same order the
   serial path would draw it — so stochastic trajectories are reproducible
   against the serial engine, not merely statistically similar.  Draws are
-  read ahead a block per unit at a time (:class:`_NormalBlocks`), and
+  read ahead a block per unit at a time
+  (:class:`~repro.rng.NormalBlocks`), and
   :meth:`BatchedWorld.finalize` hands every generator back exactly where
   the serial path leaves it;
 * device-local time is *accumulated* (``now += dt``) while clock time is
@@ -55,13 +56,11 @@ from repro.device.battery import Battery
 from repro.device.phone import Device
 from repro.errors import SimulationError
 from repro.instruments.thermabox import BatchedThermabox
+from repro.rng import NormalBlocks
 from repro.sim.engine import TRACE_CHANNELS
 from repro.sim.events import EventLog
 from repro.sim.trace import PhaseSpan, Trace
 from repro.soc.throttling import MitigationState
-
-#: Standard normals read ahead per unit per stream (see _NormalBlocks).
-_BLOCK_LENGTH = 256
 
 #: Starting per-unit row capacity of a cohort trace store (doubles as it
 #: fills).
@@ -70,83 +69,6 @@ _TRACE_ROWS = 64
 #: Relative headroom under the battery's worst-case deliverable power
 #: below which the exact terminal-voltage solve is skipped.
 _BATTERY_BOUND_MARGIN = 1e-6
-
-
-class _NormalBlocks:
-    """Each unit's upcoming standard normals, drawn a block at a time.
-
-    Row ``i`` holds the next block of unit ``i``'s own generator, read
-    with one ``standard_normal(K)`` call — which consumes the stream
-    exactly as ``K`` scalar ``normal`` calls do — and a per-unit cursor
-    marks the next unused draw.  ``normal(loc, scale)`` is then
-    ``loc + scale * z``, the same two IEEE operations numpy's scalar
-    sampler performs, so every value is bit-identical to the per-call
-    draw and every unit keeps its serial draw order.
-
-    The generators run ahead of what was consumed until :meth:`hand_back`
-    rewinds each one to the start of its current block and redraws
-    exactly the values taken, leaving it where the serial path would.
-    Units whose generator is ``None`` must never be taken from.
-    """
-
-    __slots__ = (
-        "_rngs", "_length", "_block", "_rows", "_cursor", "_cursor_max", "_starts",
-    )
-
-    def __init__(self, rngs: Sequence[Optional[np.random.Generator]]) -> None:
-        self._rngs = list(rngs)
-        count = len(self._rngs)
-        self._length = _BLOCK_LENGTH
-        self._block = np.empty((count, self._length))
-        self._rows = np.arange(count)
-        # Every row starts exhausted, so the first take fills it.
-        self._cursor = np.full(count, self._length, dtype=np.int64)
-        # Upper bound on every cursor: while it is below the block length
-        # no row is exhausted, so the per-step all-unit take skips the
-        # vector scan (which would cost more than the take itself at
-        # small cohort sizes).
-        self._cursor_max = self._length
-        #: Generator state at the start of each unit's current block.
-        self._starts: List[Optional[dict]] = [None] * count
-
-    def _refill_exhausted(self, rows: np.ndarray) -> None:
-        for unit in rows[self._cursor[rows] >= self._length]:
-            rng = self._rngs[unit]
-            self._starts[unit] = rng.bit_generator.state
-            self._block[unit] = rng.standard_normal(self._length)
-            self._cursor[unit] = 0
-
-    def take_all(self) -> np.ndarray:
-        """Every unit's next standard normal."""
-        cursor = self._cursor
-        if self._cursor_max >= self._length:
-            self._refill_exhausted(self._rows)
-            self._cursor_max = int(cursor.max())
-        z = self._block[self._rows, cursor]
-        cursor += 1
-        self._cursor_max += 1
-        return z
-
-    def take(self, rows: np.ndarray) -> np.ndarray:
-        """The next standard normal of each unit in ``rows`` (indices)."""
-        self._refill_exhausted(rows)
-        at = self._cursor[rows]
-        self._cursor[rows] = at + 1
-        if rows.size:
-            self._cursor_max = max(self._cursor_max, int(at.max()) + 1)
-        return self._block[rows, at]
-
-    def hand_back(self) -> None:
-        """Leave each generator exactly where its consumed draws end."""
-        for unit, start in enumerate(self._starts):
-            if start is None:
-                continue
-            rng = self._rngs[unit]
-            rng.bit_generator.state = start
-            rng.standard_normal(int(self._cursor[unit]))
-            self._starts[unit] = None
-        self._cursor.fill(self._length)
-        self._cursor_max = self._length
 
 
 class _ClusterBatch:
@@ -365,7 +287,9 @@ class _CohortWorld:
         # and so its block cursor.  The serial OsBehavior draws nothing
         # when its terms are disabled; matching the gates keeps per-unit
         # RNG streams aligned draw-for-draw.
-        self._os_draws = _NormalBlocks([dev.os.rng for dev in devices])
+        for dev in devices:
+            dev.os.hand_back()
+        self._os_draws = NormalBlocks([dev.os.rng for dev in devices])
         self._steal_enabled = os_ref.rng is not None and not (
             self._steal_sigma == 0 and self._steal_mean == 0
         )
@@ -391,7 +315,7 @@ class _CohortWorld:
         self._sensor_quantum = sensor.quantization_c
         self._sensor_sigma = sensor.noise_sigma_c
         self._sensor_offset = sensor.offset_c
-        self._sensor_draws = _NormalBlocks([dev.sensor.rng for dev in devices])
+        self._sensor_draws = NormalBlocks([dev.sensor.rng for dev in devices])
         # Per-unit gate of the serial TemperatureSensor's noise term.
         self._sensor_noisy = np.array(
             [
@@ -504,15 +428,20 @@ class _CohortWorld:
             count, self._clusters[0].core_count, dtype=np.int64
         )
         self._other_cores = sum(c.core_count for c in self._clusters[1:])
-        # Governor-block replay cache (see _step_awake step 4): frequency
-        # choice, voltage, dynamic power and retire rate are pure functions
-        # of state that only moves when a mitigation poll fires or a
-        # governor knob changes, so quiet steps replay the cached arrays
-        # and recompute only the temperature-dependent leakage.  Worlds
-        # whose inputs move every step (a battery's sag against a voltage
-        # throttle, RBCPR margin recovery) never cache; a battery without
-        # a voltage throttle feeds the governor nothing but its steps.
-        self._gov_cacheable = self._rbcpr is None and self._vt_threshold is None
+        # Governor-block replay cache (see _step_awake step 4), in two
+        # halves.  The voltage-independent half — ladder rung, frequency,
+        # table voltage, ``freq·1e6``, per-core activity, online masks and
+        # retire rate — is a pure function of state that only moves when a
+        # mitigation poll fires or a governor knob changes, so quiet steps
+        # replay it.  The voltage-dependent half (``c_eff·V²·f`` and the
+        # leakage voltage term) is replayed too on binned parts, whose
+        # rail holds with the rung; on RBCPR parts, whose margin follows
+        # the die temperature, it is recomputed every step from the cached
+        # half.  A battery's sag against a voltage throttle moves the
+        # ceiling itself every step, so those worlds never cache; a
+        # battery without a voltage throttle feeds the governor nothing
+        # but its steps.
+        self._gov_cacheable = self._vt_threshold is None
         self._gov_cache: Optional[tuple] = None
         self._leak_temp_slope = reference.soc.spec.process.leak_temp_slope
         self._rows = np.arange(count)
@@ -959,6 +888,30 @@ class _CohortWorld:
             0.0, soc - power_w * duration / self._bat_capacity
         )
 
+    def _voltage_terms(self, batch, voltage, hz, activity, members):
+        """One cluster's rail-voltage-dependent power terms, per unit.
+
+        Returns the dynamic power summed over online cores and one core's
+        leakage before its temperature factor.  ``activity`` is the
+        per-core switching activity (``None`` for a fully busy core),
+        ``members`` the per-core online masks when some unit has cores
+        offline (``None`` when every core is online).
+        """
+        base = batch.c_eff * voltage * voltage * hz
+        per_core_dyn = base if activity is None else base * activity
+        if members is None:
+            dynamic = per_core_dyn.copy()
+            for _ in range(batch.core_count - 1):
+                dynamic += per_core_dyn
+        else:
+            dynamic = np.zeros(self._count)
+            for member in members:
+                dynamic[member] += per_core_dyn[member]
+        volt_term = (voltage / batch.leak_vref) * np.exp(
+            batch.leak_volt_slope * (voltage - batch.leak_vref)
+        )
+        return dynamic, batch.leak_coeff * volt_term
+
     @staticmethod
     def _must_check(slack: float, dt: float) -> bool:
         """Whether a deadline's slack no longer proves no unit is due.
@@ -1087,22 +1040,33 @@ class _CohortWorld:
 
         # 4. Per-cluster governor, voltage, power and retire rate.  On a
         # quiet step (no poll fired, no governor knob moved since the
-        # cache was built) every input except the die temperature is
-        # unchanged, so the cached per-cluster arrays are replayed and
-        # only the temperature-dependent leakage term is recomputed —
-        # float-for-float the same expressions the build step evaluated.
+        # cache was built) the clock, table voltage, activity, hotplug and
+        # retire rate are unchanged, so the cached per-cluster arrays are
+        # replayed.  Only the temperature-dependent leakage factor and, on
+        # RBCPR parts, what the rail voltage moves (dynamic power and the
+        # leakage voltage term) are recomputed — float-for-float the same
+        # expressions the build step evaluated.
         util = self._utilization if self._load_active else 0.0
         soc_power = self._scr_soc
         soc_power.fill(0.0)
-        any_offline = self._any_offline
         temp_term = np.exp(self._leak_temp_slope * (die - 40.0))
         cache = self._gov_cache
         if cache is not None:
             cluster_cache, ops_rate_total, online_big = cache
             self._online_big = online_big
-            for dynamic, lv, soc_leak_cores in cluster_cache:
-                leak_per_core = lv * temp_term
-                soc_power += dynamic + leak_per_core * soc_leak_cores
+            if adjust is None:
+                for entry in cluster_cache:
+                    dynamic, lv, leak_cores = entry[-3:]
+                    soc_power += dynamic + lv * temp_term * leak_cores
+            else:
+                for batch, table_v, hz, activity, members, dynamic, lv, leak_cores in (
+                    cluster_cache
+                ):
+                    batch.voltage_adjust = adjust
+                    dynamic, lv = self._voltage_terms(
+                        batch, table_v + adjust, hz, activity, members
+                    )
+                    soc_power += dynamic + lv * temp_term * leak_cores
         else:
             ops_rate_total = self._scr_ops
             ops_rate_total.fill(0.0)
@@ -1133,10 +1097,8 @@ class _CohortWorld:
                 batch.freq = freq
                 if adjust is not None:
                     batch.voltage_adjust = adjust
-                voltage = (
-                    batch.volt_table[self._rows, freq_index] + batch.voltage_adjust
-                )
-                base = batch.c_eff * voltage * voltage * (freq * 1e6)
+                table_v = batch.volt_table[self._rows, freq_index]
+                hz = freq * 1e6
                 if mem_beta > 0.0:
                     # ClusterState._cpu_time_share / ops_per_second,
                     # element-wise: stall time is fixed at the top clock,
@@ -1145,45 +1107,42 @@ class _CohortWorld:
                     cpu_time = 1.0 / freq
                     mem_time = ratio / batch.max_freq
                     share = cpu_time / (cpu_time + mem_time)
-                    per_core_dyn = base * (util * share)
-                    per_core_rate = freq * 1e6 * batch.ipc
+                    activity = util * share
+                    per_core_rate = hz * batch.ipc
                     per_core_rate = 1.0 / (
                         1.0 / per_core_rate + ratio / batch.top_rate
                     )
                     per_core_ops = per_core_rate * util
                 else:
-                    per_core_dyn = base if util == 1.0 else base * util
-                    per_core_ops = (freq * 1e6 * batch.ipc) * util
+                    activity = None if util == 1.0 else util
+                    per_core_ops = (hz * batch.ipc) * util
                 # Left-to-right per-core accumulation, exactly as the serial
                 # cluster sums its online cores (repeated addition, not a
                 # multiply — they differ at the last ulp for 3+ cores).
-                if k == 0 and any_offline:
+                if k == 0 and self._any_offline:
                     online = np.maximum(0, batch.core_count - self._shd_offline)
                     self._online_big = online
-                    dynamic = np.zeros(count)
+                    members = [core < online for core in range(batch.core_count)]
                     retire = np.zeros(count)
-                    for core in range(batch.core_count):
-                        member = core < online
-                        dynamic[member] += per_core_dyn[member]
+                    for member in members:
                         retire[member] += per_core_ops[member]
-                    soc_leak_cores = online
+                    leak_cores = online
                 else:
                     if k == 0:
                         self._online_big = self._online_big_full
-                    dynamic = per_core_dyn.copy()
+                    members = None
                     retire = per_core_ops.copy()
                     for _ in range(batch.core_count - 1):
-                        dynamic += per_core_dyn
                         retire += per_core_ops
-                    soc_leak_cores = batch.core_count
-                volt_term = (voltage / batch.leak_vref) * np.exp(
-                    batch.leak_volt_slope * (voltage - batch.leak_vref)
+                    leak_cores = batch.core_count
+                dynamic, lv = self._voltage_terms(
+                    batch, table_v + batch.voltage_adjust, hz, activity, members
                 )
-                lv = batch.leak_coeff * volt_term
-                leak_per_core = lv * temp_term
-                soc_power += dynamic + leak_per_core * soc_leak_cores
+                soc_power += dynamic + lv * temp_term * leak_cores
                 ops_rate_total += retire
-                cluster_cache.append((dynamic, lv, soc_leak_cores))
+                cluster_cache.append(
+                    (batch, table_v, hz, activity, members, dynamic, lv, leak_cores)
+                )
             if self._gov_cacheable:
                 self._gov_cache = (
                     cluster_cache, ops_rate_total.copy(), self._online_big

@@ -193,6 +193,12 @@ class World:
 
     def step(self) -> StepReport:
         """Advance the world one clock step."""
+        try:
+            return self._step()
+        finally:
+            self.device.os.hand_back()
+
+    def _step(self) -> StepReport:
         dt = self.clock.dt
         room_temp = self.room.temperature(self.now)
         if self.chamber is not None:
@@ -223,13 +229,23 @@ class World:
         steps = round(duration_s / dt)
         if steps < 1:
             raise SimulationError("duration shorter than one clock step")
+        try:
+            self._run_steps(steps)
+        finally:
+            # The OS noise stream is read a block ahead; leave it where
+            # the draws taken end (see OsBehavior.hand_back).
+            self.device.os.hand_back()
+
+    def _run_steps(self, steps: int) -> None:
         if self._observer is not None:
             # Observed runs take the plain step() path: every step notifies
             # the observer, and the unobserved hot loop below stays free of
             # per-step checks.
             for _ in range(steps):
-                self.step()
+                self._step()
             return
+        clock = self.clock
+        dt = clock.dt
         # Inlined step() body with invariant lookups hoisted out of the loop.
         chamber = self.chamber
         room_temperature = self.room.temperature

@@ -140,7 +140,8 @@ class ClusterState:
         #: paper's π workload is fully CPU-bound (0.0); raising this models
         #: memory-bound work whose speed no longer tracks the clock.
         self.memory_boundedness: float = 0.0
-        #: Extra voltage relative to the table, volts (set by RBCPR).
+        #: Extra voltage relative to the table, volts.  RBCPR rewrites it
+        #: every step; binned parts keep the 0.0 that ``Soc.reset`` sets.
         self.voltage_adjust_v: float = 0.0
         self._dynamic = DynamicPowerModel(c_eff_f=spec.c_eff_f)
         self._leakage = LeakageModel(
@@ -156,8 +157,13 @@ class ClusterState:
         # last computed for; both change only on a DVFS or workload change.
         self._rate_key: Tuple[float, float] = (-1.0, -1.0)
         self._rate_per_core = 0.0
-        #: Called after the clock or the online count changes, so an owner
-        #: can rebuild what it derives from them (see ``Soc``).
+        # The voltage-independent half of the power terms (see
+        # ``power_terms``), rebuilt after any of its inputs changes
+        # (``None`` = stale).
+        self._point: Optional[Tuple[float, float, Tuple[float, ...]]] = None
+        #: Called after the clock, the online count, the utilization or the
+        #: memory boundedness changes, so an owner can rebuild what it
+        #: derives from them (see ``Soc``).
         self.on_change: Optional[Callable[[], None]] = None
 
     @property
@@ -171,19 +177,20 @@ class ClusterState:
             return  # already validated when it was first set
         self.spec.freq_index(freq_mhz)  # validates membership
         self.freq_mhz = freq_mhz
-        if self.on_change is not None:
-            self.on_change()
+        self._changed()
 
     def set_utilization(self, utilization: float) -> None:
         """Set every core's utilization (the π workload loads all cores)."""
         for core in self.cores:
             core.set_utilization(utilization)
+        self._changed()
 
     def set_memory_boundedness(self, fraction: float) -> None:
         """Set the workload's memory-stall fraction (at top frequency)."""
         if not 0.0 <= fraction < 1.0:
             raise ConfigurationError("memory_boundedness must be within [0, 1)")
         self.memory_boundedness = fraction
+        self._changed()
 
     def _cpu_time_share(self) -> float:
         """Fraction of busy time actually switching at the current clock.
@@ -212,20 +219,27 @@ class ClusterState:
         for core in self.cores:
             core.online = core.index < count
         self._online = count
+        self._changed()
+
+    def _changed(self) -> None:
+        self._point = None
         if self.on_change is not None:
             self.on_change()
 
     def voltage_v(self) -> float:
         """Current rail voltage: binned table voltage plus any adjustment."""
+        voltage = self._table_voltage() + self.voltage_adjust_v
+        if voltage <= 0:
+            raise ConfigurationError("voltage adjustment drove rail non-positive")
+        return voltage
+
+    def _table_voltage(self) -> float:
         freq = self.freq_mhz
         table_v = self._table_voltage_cache.get(freq)
         if table_v is None:
             table_v = self.spec.vf_table.voltage_v(self.bin_index, freq)
             self._table_voltage_cache[freq] = table_v
-        voltage = table_v + self.voltage_adjust_v
-        if voltage <= 0:
-            raise ConfigurationError("voltage adjustment drove rail non-positive")
-        return voltage
+        return table_v
 
     def power_w(self, die_temp_c: float) -> float:
         """Total cluster power at the current operating point, watts.
@@ -233,25 +247,46 @@ class ClusterState:
         Memory stalls don't switch the pipeline: the dynamic term scales
         by the CPU-time share of the running workload.
         """
-        return self.power_at(temperature_factor(self._leakage.process, die_temp_c))
+        temp_factor = temperature_factor(self._leakage.process, die_temp_c)
+        dynamic, leak, online = self.power_terms()
+        return dynamic + leak * temp_factor * online
 
-    def power_at(self, temp_factor: float) -> float:
-        """:meth:`power_w` given the die's leakage temperature factor
-        (:func:`~repro.silicon.leakage.temperature_factor`)."""
-        voltage = self.voltage_v()
-        cpu_share = self._cpu_time_share()
+    def power_terms(self) -> Tuple[float, float, int]:
+        """The power split around the die temperature.
+
+        Returns ``(dynamic, leak, online)``: :meth:`power_w` is
+        ``dynamic + leak * temp_factor * online``, where ``temp_factor`` is
+        :func:`~repro.silicon.leakage.temperature_factor` at the die
+        temperature and ``leak`` is one core's leakage before it
+        (:meth:`~repro.silicon.leakage.LeakageModel.voltage_term`).  The
+        table voltage, clock and per-core activities are rebuilt only
+        after the clock, hotplug or load changes; each call re-evaluates
+        only what the rail voltage (``voltage_adjust_v``) moves.
+        """
+        point = self._point
+        if point is None:
+            point = self._point = self._operating_point()
+        table_v, hz, activities = point
+        voltage = table_v + self.voltage_adjust_v
+        if voltage <= 0:
+            raise ConfigurationError("voltage adjustment drove rail non-positive")
         # Per-core dynamic power is `base * activity` with the base invariant
         # across cores; keep the per-core product and summation order of the
         # straightforward formulation so results stay bit-identical.
-        base = self._dynamic.c_eff_f * voltage * voltage * mhz_to_hz(self.freq_mhz)
+        base = self._dynamic.c_eff_f * voltage * voltage * hz
         dynamic = 0.0
-        online = 0
-        for core in self.cores:
-            if core.online:
-                dynamic += base * (core.utilization * cpu_share)
-                online += 1
-        leak_per_core = self._leakage.power_at(self.profile, voltage, temp_factor)
-        return dynamic + leak_per_core * online
+        for activity in activities:
+            dynamic += base * activity
+        leak = self._leakage.voltage_term(self.profile, voltage)
+        return dynamic, leak, len(activities)
+
+    def _operating_point(self) -> Tuple[float, float, Tuple[float, ...]]:
+        """Table voltage, clock in Hz and each online core's activity."""
+        cpu_share = self._cpu_time_share()
+        activities = tuple(
+            core.utilization * cpu_share for core in self.cores if core.online
+        )
+        return self._table_voltage(), mhz_to_hz(self.freq_mhz), activities
 
     def leakage_w(self, die_temp_c: float) -> float:
         """Leakage-only power at the current operating point, watts."""

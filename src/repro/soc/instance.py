@@ -18,9 +18,14 @@ from repro.silicon.leakage import temperature_factor
 from repro.silicon.transistor import SiliconProfile
 from repro.soc.catalog import SocSpec, VoltageMode
 from repro.soc.cluster import ClusterState
-from repro.soc.dvfs import Governor, PerformanceGovernor
+from repro.soc.dvfs import Governor, PerformanceGovernor, UserspaceGovernor
 from repro.soc.rbcpr import RbcprBlock
 from repro.soc.throttling import MitigationState, ThrottlePolicy
+
+#: Governors whose choice is a pure function of the ladder, the load and
+#: the ceiling.  Only these may be skipped on a step that changes none of
+#: those; the others keep per-call state (an internal clock).
+_STATELESS_GOVERNORS = (PerformanceGovernor, UserspaceGovernor)
 
 
 class Soc:
@@ -67,6 +72,10 @@ class Soc:
         # clock or hotplug state changes (``None`` = stale).
         self._frequencies: Optional[Dict[str, float]] = None
         self._online_cores: Optional[int] = None
+        # What the last full step left for replay (see ``step``), or
+        # ``None`` when an input has changed since.
+        self._replay: Optional[tuple] = None
+        self._stateless_governors = True
         for cluster in self.clusters:
             cluster.on_change = self._cluster_changed
 
@@ -84,6 +93,11 @@ class Soc:
                 if validate is not None:
                     validate(spec)
                 self._governors[spec.name] = governor
+        self._stateless_governors = all(
+            type(installed) in _STATELESS_GOVERNORS
+            for installed in self._governors.values()
+        )
+        self._replay = None
 
     def set_utilization(self, utilization: float) -> None:
         """Load (or idle) every core on every cluster."""
@@ -112,11 +126,44 @@ class Soc:
         Runs the mitigation loop, lets governors pick frequencies under the
         mitigated ceiling, applies RBCPR voltage, and returns
         ``(power_w, ops_done)`` for the step.
+
+        Clocks, hotplug state, table voltages, per-core activities and
+        retire rates move only when the mitigation allowance, an external
+        ceiling, a governor, the load or the memory boundedness changes.
+        The mitigation policy hands back the same ``MitigationState``
+        object while its allowance holds, and every other input
+        invalidates the replay when it is set.  So a step that sees the
+        allowance and both ceilings of the last full step replays that
+        step's terms: it re-evaluates the leakage temperature factor and,
+        on RBCPR parts, the voltage adjustment and what the rail voltage
+        moves (``ClusterState.power_terms``), all in the full step's
+        expression order, so the results are bit-identical.  Governors
+        that keep per-call state (interactive, ondemand) always take the
+        full step.
         """
         if dt <= 0:
             raise ConfigurationError("dt must be positive")
         mitigation = self.throttle.update(die_temp_c, now_s)
         self.mitigation = mitigation
+        replay = self._replay
+        if (
+            replay is not None
+            and replay[0] is mitigation
+            and replay[1] == self.external_ceiling_steps
+            and replay[2] == self.external_ceiling_mhz
+        ):
+            temp_factor = temperature_factor(self.spec.process, die_temp_c)
+            power_w = 0.0
+            if self.rbcpr is None:
+                for dynamic, leak, online in replay[3]:
+                    power_w += dynamic + leak * temp_factor * online
+            else:
+                adjust = self.rbcpr.voltage_adjust_v(self._rbcpr_comp, die_temp_c)
+                for cluster in self.clusters:
+                    cluster.voltage_adjust_v = adjust
+                    dynamic, leak, online = cluster.power_terms()
+                    power_w += dynamic + leak * temp_factor * online
+            return power_w, replay[4] * dt
 
         total_steps = mitigation.ceiling_steps + self.external_ceiling_steps
         external_mhz = self.external_ceiling_mhz
@@ -160,9 +207,21 @@ class Soc:
 
         power_w = 0.0
         ops_rate_total = 0.0
+        terms = []
         for cluster in self.clusters:
-            power_w += cluster.power_at(temp_factor)
+            dynamic, leak, online = cluster.power_terms()
+            power_w += dynamic + leak * temp_factor * online
             ops_rate_total += cluster.ops_per_second()
+            terms.append((dynamic, leak, online))
+        if self._stateless_governors:
+            # Cluster changes above cleared the replay; keep this step's.
+            self._replay = (
+                mitigation,
+                self.external_ceiling_steps,
+                external_mhz,
+                terms,
+                ops_rate_total,
+            )
         return power_w, ops_rate_total * dt
 
     def leakage_w(self, die_temp_c: float) -> float:
@@ -198,3 +257,4 @@ class Soc:
     def _cluster_changed(self) -> None:
         self._frequencies = None
         self._online_cores = None
+        self._replay = None

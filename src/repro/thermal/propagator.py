@@ -30,7 +30,7 @@ rates it yields are exact.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -39,6 +39,19 @@ from repro.errors import ConfigurationError, SimulationError
 #: Distinct step sizes whose (Φ, Ψ) pairs are kept hot.  Engine dt, chamber
 #: sub-steps and the cooldown poll window comfortably fit.
 DEFAULT_CACHE_SIZE = 8
+
+
+def _contiguous(indices: np.ndarray) -> Union[slice, np.ndarray]:
+    """``indices`` as a basic slice when they form one ascending run.
+
+    Slicing a vector with it reads the same values as gathering with the
+    index array, but as a view: no gather copy, and assigning through it
+    is a plain contiguous write instead of a scatter.
+    """
+    first = int(indices[0])
+    if np.array_equal(indices, np.arange(first, first + indices.size)):
+        return slice(first, first + indices.size)
+    return indices
 
 
 class _SharedDecomposition:
@@ -54,6 +67,9 @@ class _SharedDecomposition:
     __slots__ = (
         "finite",
         "boundary",
+        "finite_at",
+        "boundary_at",
+        "coupling_col",
         "coupling",
         "rates",
         "to_modal",
@@ -81,6 +97,16 @@ class _SharedDecomposition:
         reduced = laplacian[np.ix_(self.finite, self.finite)]
         #: G_fb — heat admittance from boundary nodes into finite ones.
         self.coupling = conductance[np.ix_(self.finite, self.boundary)]
+        # Vector selectors for ``ExpmPropagator.advance`` (see _contiguous).
+        self.finite_at = _contiguous(self.finite)
+        self.boundary_at = _contiguous(self.boundary)
+        # With one boundary node, G_fb·T_b is a column times a scalar:
+        # each entry is the same single product the matvec forms.
+        self.coupling_col = (
+            np.ascontiguousarray(self.coupling[:, 0])
+            if self.boundary.size == 1
+            else None
+        )
 
         sqrt_c = np.sqrt(capacity[self.finite])
         sym = reduced / np.outer(sqrt_c, sqrt_c)
@@ -168,6 +194,18 @@ class ExpmPropagator:
         self._to_modal = shared.to_modal
         self._from_modal = shared.from_modal
         self._cache = shared.cache
+        self._finite_at = shared.finite_at
+        self._boundary_at = shared.boundary_at
+        self._coupling_col = shared.coupling_col
+        # ``advance`` scratch: forcing, Φ·x and Ψ·u.
+        finite_count = shared.finite.size
+        self._forcing = np.empty(finite_count)
+        self._free = np.empty(finite_count)
+        self._forced = np.empty(finite_count)
+        # The last pair ``advance`` used and its step size: an engine
+        # asks for one step size run after run.
+        self._last_dt: Optional[float] = None
+        self._last_pair: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self.cache_hits = 0
         self.cache_misses = 0
 
@@ -245,10 +283,32 @@ class ExpmPropagator:
         nodes), held constant over the step — the zero-order hold the
         closed form is exact for.
         """
-        phi, psi = self.pair(dt)
-        finite = self._finite
-        forcing = power[finite] + self._coupling @ temps[self._boundary]
-        temps[finite] = phi @ temps[finite] + psi @ forcing
+        if dt == self._last_dt:
+            # A hit on the pair ``pair(dt)`` returned last time; it skips
+            # the shared cache's recency update, which matters only once
+            # more step sizes are in use than the cache holds.
+            phi, psi = self._last_pair
+            self.cache_hits += 1
+        else:
+            phi, psi = self._last_pair = self.pair(dt)
+            self._last_dt = dt
+        finite = self._finite_at
+        # forcing = P_f + G_fb·T_b and T_f' = Φ·T_f + Ψ·forcing, evaluated
+        # into scratch; ``ndarray.dot`` reaches the same BLAS gemv as
+        # ``@`` at less dispatch cost (tests/sim/test_step_bits.py pins
+        # the bits).
+        forcing = self._forcing
+        if self._coupling_col is not None:
+            np.multiply(self._coupling_col, temps[self._boundary_at], out=forcing)
+        else:
+            np.matmul(self._coupling, temps[self._boundary_at], out=forcing)
+        np.add(power[finite], forcing, out=forcing)
+        free = phi.dot(temps[finite], self._free)
+        forced = psi.dot(forcing, self._forced)
+        if type(finite) is slice:
+            np.add(free, forced, out=temps[finite])
+        else:
+            temps[finite] = free + forced
 
     def advance_batch(self, temps: np.ndarray, power: np.ndarray, dt: float) -> None:
         """Propagate a stacked ``(units, nodes)`` temperature matrix in place.

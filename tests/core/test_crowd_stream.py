@@ -11,6 +11,7 @@ The headline contracts:
 * drop accounting matches the serial path reason-for-reason.
 """
 
+import io
 import json
 import os
 
@@ -189,17 +190,37 @@ class TestCheckpointResume:
         before = path.read_bytes()
         files = sorted(tmp_path.iterdir())
 
-        def failing_dump(document, fp):
-            fp.write('{"format": ')
+        def failing_dumps(document):
             raise OSError("disk full")
 
-        monkeypatch.setattr(crowd_stream.json, "dump", failing_dump)
+        monkeypatch.setattr(crowd_stream.json, "dumps", failing_dumps)
         with pytest.raises(OSError, match="disk full"):
             crowd_stream.write_checkpoint(
                 str(path), "fingerprint", 2, CrowdEstimators(root_seed=0), {}
             )
         assert path.read_bytes() == before
         assert sorted(tmp_path.iterdir()) == files
+
+    def test_checkpoint_bytes_are_the_json_encoding(self, micro_config, tmp_path):
+        path = tmp_path / "crowd.ckpt"
+        partial = run_streaming_crowd_study(
+            micro_config, cohort_size=3, checkpoint_path=str(path),
+            stop_after_cohorts=1,
+        )
+        document = load_checkpoint(str(path), partial.fingerprint)
+        assert path.read_bytes() == json.dumps(document).encode()
+        # Written again from its parts, the document encodes to the same
+        # bytes the streaming encoder (json.dump) gives, and still loads.
+        again = tmp_path / "again.ckpt"
+        crowd_stream.write_checkpoint(
+            str(again), partial.fingerprint, document["cohorts_done"],
+            CrowdEstimators.from_state(document["estimators"]),
+            document["param_rng_state"], document["telemetry"],
+        )
+        streamed = io.StringIO()
+        json.dump(document, streamed)
+        assert again.read_bytes() == streamed.getvalue().encode()
+        assert load_checkpoint(str(again), partial.fingerprint) == document
 
     def test_stale_fixed_temp_file_is_not_clobbered(self, micro_config, tmp_path):
         path = tmp_path / "crowd.ckpt"

@@ -102,3 +102,44 @@ class TestCpuCeiling:
         )
         assert os.cpu_ceiling_mhz(3.85) == 1478.0
         assert os.cpu_ceiling_mhz(4.4) is None
+
+
+class TestBlockDraws:
+    """Block-read OS draws replay the per-call ``Generator.normal`` draws."""
+
+    @staticmethod
+    def per_call(rng, os, times):
+        """The per-call draws: each step's steal fraction, then its noise."""
+        frac, until, out = 0.0, 0.0, []
+        for now in times:
+            if now >= until:
+                sampled = float(rng.normal(os.steal_mean, os.steal_sigma))
+                frac = min(max(sampled, 0.0), os.steal_max)
+                until = now + os.steal_interval_s
+            noise = os.background_power_w
+            noise += float(rng.normal(0.0, os.background_sigma_w))
+            out.append((frac, max(0.0, noise)))
+        return out
+
+    def test_draws_match_and_hand_back_leaves_the_stream(self):
+        os = OsBehavior(rng=np.random.default_rng(5), steal_interval_s=3.0)
+        reference = np.random.default_rng(5)
+        times = [0.5 * i for i in range(600)]  # crosses block refills
+        got = [(os.steal_frac(now), os.background_noise_w()) for now in times]
+        assert got == self.per_call(reference, os, times)
+        os.hand_back()
+        assert os.rng.bit_generator.state == reference.bit_generator.state
+        assert os.rng.normal() == reference.normal()
+
+    def test_pickle_hands_back_and_continues_the_stream(self):
+        import pickle
+
+        os = OsBehavior(rng=np.random.default_rng(6))
+        for _ in range(10):
+            os.background_noise_w()
+        clone = pickle.loads(pickle.dumps(os))
+        reference = np.random.default_rng(6)
+        reference.standard_normal(10)
+        assert os.rng.bit_generator.state == reference.bit_generator.state
+        assert clone.rng.bit_generator.state == reference.bit_generator.state
+        assert clone.background_noise_w() == os.background_noise_w()

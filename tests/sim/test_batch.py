@@ -27,6 +27,7 @@ from repro.instruments.thermabox import (
     Thermabox,
     ThermaboxConfig,
 )
+from repro import rng as rng_module
 from repro.sim import batch as batch_module
 from repro.sim.batch import BatchedWorld
 from repro.sim.engine import TRACE_CHANNELS, World
@@ -246,7 +247,7 @@ class TestRandomStreamHandBack:
         run_serial(serial_devices, use_box)
         batched, _ = run_batched(batch_devices, use_box)
         # Every unit's OS stream crosses at least one block refill.
-        assert batched.looped_steps.min() > batch_module._BLOCK_LENGTH
+        assert batched.looped_steps.min() > rng_module.BLOCK_LENGTH
         for ds, db in zip(serial_devices, batch_devices):
             for serial_rng, batch_rng in (
                 (ds.os.rng, db.os.rng),
@@ -271,10 +272,10 @@ class TestNormalBlocks:
     def test_mixed_takes_match_per_call_draws_across_refills(
         self, monkeypatch
     ):
-        monkeypatch.setattr(batch_module, "_BLOCK_LENGTH", 3)
+        monkeypatch.setattr(rng_module, "BLOCK_LENGTH", 3)
         seeds = (11, 12, 13, 14)
         streams = self.streams(seeds)
-        reader = batch_module._NormalBlocks(streams)
+        reader = rng_module.NormalBlocks(streams)
         reference = self.streams(seeds)
         loc, scale = self.LOC, self.SCALE
 
@@ -310,12 +311,12 @@ class TestNormalBlocks:
     def test_hand_back_without_draws_is_a_no_op(self):
         streams = self.streams((21, 22))
         before = [rng.bit_generator.state for rng in streams]
-        batch_module._NormalBlocks(streams).hand_back()
+        rng_module.NormalBlocks(streams).hand_back()
         assert [rng.bit_generator.state for rng in streams] == before
 
     def test_unit_without_a_stream_is_never_drawn(self):
         streams = self.streams((31, 32))
-        reader = batch_module._NormalBlocks([streams[0], None, streams[1]])
+        reader = rng_module.NormalBlocks([streams[0], None, streams[1]])
         reference = self.streams((31, 32))
         got = reader.take(np.array([0, 2]))
         want = [reference[0].standard_normal(), reference[1].standard_normal()]

@@ -2,7 +2,9 @@
 
 Each memo must be rebuilt when its input changes: a hotplug, a new clock,
 a new ceiling or pin, a new step size.  These tests change the input and
-check that the next read sees it.
+check that the next read sees it.  ``TestStepReplay`` changes each input
+of the ``Soc.step`` replay mid-run and checks every step against a twin
+that takes the full path on every step.
 """
 
 import math
@@ -13,9 +15,13 @@ from repro.errors import ConfigurationError
 from repro.instruments.probe import ALPHA_CACHE_SIZE, ThermistorProbe
 from repro.silicon.leakage import LeakageModel, temperature_factor
 from repro.silicon.transistor import SiliconProfile
-from repro.soc.catalog import sd800, sd810
+from repro.soc.catalog import sd800, sd810, sd820
 from repro.soc.cluster import NEAREST_CACHE_SIZE
-from repro.soc.dvfs import UserspaceGovernor
+from repro.soc.dvfs import (
+    InteractiveGovernor,
+    PerformanceGovernor,
+    UserspaceGovernor,
+)
 from repro.soc.instance import Soc
 from repro.soc.throttling import (
     CoreShutdownPolicy,
@@ -188,3 +194,105 @@ class TestLeakageTemperatureFactor:
         for cluster in soc.clusters:
             total += cluster.power_w(55.0)
         assert power == total
+
+
+def _visible(soc):
+    """What a reader can see of a SoC after a step."""
+    return (
+        dict(soc.frequencies_mhz()),
+        soc.online_cores(),
+        [cluster.online_count for cluster in soc.clusters],
+        [cluster.voltage_adjust_v for cluster in soc.clusters],
+        (soc.mitigation.ceiling_steps, soc.mitigation.offline_cores),
+    )
+
+
+def _pin(soc):
+    ladder = soc.clusters[0].spec.freq_table_mhz
+    soc.set_governor(UserspaceGovernor(ladder[2]), soc.clusters[0].spec.name)
+
+
+def _cap(soc):
+    soc.external_ceiling_mhz = soc.clusters[0].spec.freq_table_mhz[-3]
+
+
+def _reset(soc):
+    soc.reset()
+    soc.set_utilization(0.7)
+
+
+#: name -> (change applied at CHANGE_AT, die temperature per step index).
+#: The die runs at 60 °C, far from every trip point, unless a case moves it.
+REPLAY_INPUTS = {
+    "mitigation-step": (None, lambda i: 77.0 if i >= 20 else 60.0),
+    "hotplug": (None, lambda i: 85.0 if 20 <= i < 32 else 60.0),
+    "skin-steps": (lambda soc: setattr(soc, "external_ceiling_steps", 2), None),
+    "voltage-ceiling": (_cap, None),
+    "governor-pin": (_pin, None),
+    "governor-swap": (lambda soc: soc.set_governor(PerformanceGovernor()), None),
+    "utilization": (lambda soc: soc.set_utilization(0.4), None),
+    "memory-boundedness": (lambda soc: soc.set_memory_boundedness(0.3), None),
+    "reset": (_reset, None),
+}
+
+CHANGE_AT = 20
+
+
+class TestStepReplay:
+    """``Soc.step`` replays quiet steps; every input change forces a rebuild."""
+
+    @staticmethod
+    def run_twins(spec, change, temp_at, steps=45, start_pinned=False):
+        replayed, full = make_soc(spec), make_soc(spec)
+        for soc in (replayed, full):
+            soc.set_utilization(1.0)
+            if start_pinned:
+                _pin(soc)
+        replays = 0
+        for i in range(steps):
+            if i == CHANGE_AT and change is not None:
+                change(replayed)
+                change(full)
+            temp = temp_at(i) if temp_at is not None else 60.0 + 0.05 * i
+            now = i * 0.1
+            before = replayed._replay
+            full._replay = None  # the twin takes the full path every step
+            got = replayed.step(temp, now, 0.1)
+            want = full.step(temp, now, 0.1)
+            assert got == want, f"step {i}"
+            assert _visible(replayed) == _visible(full), f"step {i}"
+            if before is not None and replayed._replay is before:
+                replays += 1
+        return replays
+
+    @pytest.mark.parametrize("spec", [sd800, sd810, sd820], ids=["binned", "sd810", "sd820"])
+    @pytest.mark.parametrize("name", sorted(REPLAY_INPUTS))
+    def test_changed_input_matches_a_full_step(self, spec, name):
+        change, temp_at = REPLAY_INPUTS[name]
+        replays = self.run_twins(
+            spec(), change, temp_at, start_pinned=name == "governor-swap"
+        )
+        # Most steps are quiet, so the replay carries them.
+        assert replays >= 30
+
+    @pytest.mark.parametrize("spec", [sd800, sd810], ids=["binned", "rbcpr"])
+    def test_stateful_governor_never_replays(self, spec):
+        def interactive(soc):
+            for cluster in soc.clusters:
+                spec = cluster.spec
+                soc.set_governor(
+                    InteractiveGovernor(hispeed_freq_mhz=spec.freq_table_mhz[4]),
+                    spec.name,
+                )
+
+        replays = self.run_twins(spec(), interactive, None)
+        assert replays == CHANGE_AT - 1
+
+    def test_rbcpr_replay_tracks_the_die_temperature(self):
+        # Quiet steps on an RBCPR part still move the rail with the margin.
+        soc = make_soc(sd820())
+        soc.set_utilization(1.0)
+        soc.step(50.0, 0.0, 0.1)
+        cool = soc.clusters[0].voltage_adjust_v
+        soc.step(70.0, 0.1, 0.1)
+        assert soc.clusters[0].voltage_adjust_v < cool

@@ -223,6 +223,51 @@ class TestCache:
         assert clone.cache_hits == 1
 
 
+class TestAdvance:
+    """``advance`` reads slices where the node sets are contiguous and
+    reuses its last pair; both must give the plain gather's bits."""
+
+    @staticmethod
+    def reference(propagator, temps, power, dt):
+        phi, psi = propagator.pair(dt)
+        finite = np.flatnonzero(~propagator._boundary_mask)
+        boundary = np.flatnonzero(propagator._boundary_mask)
+        forcing = power[finite] + propagator._coupling @ temps[boundary]
+        out = temps.copy()
+        out[finite] = phi @ temps[finite] + psi @ forcing
+        return out
+
+    @pytest.mark.parametrize("boundary_at", [0, 2, 4], ids=["first", "middle", "last"])
+    def test_matches_the_gathered_update(self, boundary_at):
+        rng = np.random.default_rng(boundary_at)
+        size = 5
+        conductance = rng.uniform(0.1, 2.0, size=(size, size))
+        conductance = np.triu(conductance, 1)
+        conductance += conductance.T
+        capacity = rng.uniform(1.0, 20.0, size=size)
+        capacity[boundary_at] = math.inf
+        boundary = np.arange(size) == boundary_at
+        propagator = ExpmPropagator(conductance, capacity, boundary)
+        temps = rng.uniform(20.0, 80.0, size=size)
+        power = np.where(boundary, 0.0, rng.uniform(0.0, 3.0, size=size))
+        for dt in (0.1, 0.1, 0.5, 0.1):
+            want = self.reference(propagator, temps, power, dt)
+            propagator.advance(temps, power, dt)
+            assert temps.tobytes() == want.tobytes()
+
+    def test_last_pair_follows_the_step_size(self):
+        propagator = TestCache().make()
+        temps = np.array([80.0, 25.0])
+        power = np.array([1.0, 0.0])
+        for dt in (0.1, 0.1, 5.0, 0.1):
+            want = self.reference(propagator, temps, power, dt)
+            propagator.advance(temps, power, dt)
+            assert temps.tobytes() == want.tobytes()
+        # Each advance counts one cache lookup, as pair() would.
+        assert propagator.cache_hits + propagator.cache_misses == 8
+        assert propagator.cache_misses == 2
+
+
 class TestBatchAdvance:
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_serial_rows(self, seed):
