@@ -14,7 +14,10 @@ The side that goes first alternates from pair to pair, so a slow spell of
 the host does not land on one side only, and pair ``i`` runs seed
 ``--seed + i`` on both sides, which is how ``perfbench/compare.py`` pairs
 them.  Standard output of every run is kept under ``--out`` (``base/`` and
-``change/``), and ``perfbench/compare.py`` labels the two sets at the end.
+``change/``).  After the pairs the script prints, per workload, whether
+each pair's result digests (``repetitions[].digest`` of the run records)
+agree between base and change, and the seeds where either side failed;
+then ``perfbench/compare.py`` labels the two sets.
 
 The worktree is removed however the script ends: on success, on an error
 and on Ctrl-C.  Nothing under ``perfbench/`` is changed or needed beyond
@@ -24,6 +27,7 @@ and on Ctrl-C.  Nothing under ``perfbench/`` is changed or needed beyond
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import shutil
 import signal
@@ -31,7 +35,7 @@ import subprocess
 import sys
 import tempfile
 import time
-from typing import List
+from typing import Dict, List, Optional
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("table2-default", "table2-parallel", "crowd-stream")
@@ -71,6 +75,68 @@ def run_pairs(base_tree: str, workload: str, args: argparse.Namespace,
         for name in order:
             path = os.path.join(out, name, f"{workload}-{seed}.txt")
             run_side(sides[name], workload, seed, args.seconds, path)
+
+
+def run_record(path: str) -> Optional[Dict]:
+    """The run record ``run.py`` printed into ``path``, or ``None``."""
+    try:
+        with open(path) as handle:
+            for line in handle:
+                if line.startswith('{"perfbench"'):
+                    return json.loads(line)["perfbench"]
+    except OSError:
+        pass
+    return None
+
+
+def run_failed(record: Optional[Dict]) -> bool:
+    """Whether a run crashed, failed an operation or disagreed with itself."""
+    if record is None:
+        return True
+    result = record.get("result", {})
+    return (not result.get("correct", False) or result.get("failed", 0) > 0
+            or any("error" in rep for rep in record.get("repetitions", [])))
+
+
+def run_digests(record: Optional[Dict]) -> List[str]:
+    """Distinct result digests of a run's repetitions, sorted."""
+    if record is None:
+        return []
+    return sorted({rep["digest"] for rep in record.get("repetitions", [])
+                   if "digest" in rep})
+
+
+def report_digests(out: str, workload: str, seeds: List[int]) -> bool:
+    """Print whether each pair's result digests match; True if all do.
+
+    A pair matches when both runs produced one digest and it is the same
+    on both sides.  Seeds where either side failed are listed apart.
+    """
+    matched: List[int] = []
+    differ: List[str] = []
+    failed: Dict[str, List[int]] = {"base": [], "change": []}
+    for seed in seeds:
+        records = {
+            side: run_record(os.path.join(out, side, f"{workload}-{seed}.txt"))
+            for side in failed
+        }
+        for side, record in records.items():
+            if run_failed(record):
+                failed[side].append(seed)
+        digests = {side: run_digests(record) for side, record in records.items()}
+        if len(digests["base"]) == 1 and digests["base"] == digests["change"]:
+            matched.append(seed)
+        elif digests["base"] or digests["change"]:
+            differ.append(
+                f"seed {seed}: base {','.join(d[:12] for d in digests['base']) or '-'}"
+                f" change {','.join(d[:12] for d in digests['change']) or '-'}")
+    print(f"{workload} digests: {len(matched)}/{len(seeds)} pairs match", flush=True)
+    for line in differ:
+        print(f"  differ {line}", flush=True)
+    for side, bad in failed.items():
+        if bad:
+            print(f"  {side} failed at seeds {bad}", flush=True)
+    return not differ
 
 
 def compare(out: str) -> int:
@@ -120,6 +186,9 @@ def main(argv: List[str] = None) -> int:
         for workload in workloads:
             run_pairs(base_tree, workload, args, out)
         print(f"run outputs kept in {out}")
+        seeds = [args.seed + index for index in range(args.pairs)]
+        for workload in workloads:
+            report_digests(out, workload, seeds)
         return compare(out)
     except KeyboardInterrupt:
         print("interrupted; removing the base worktree", file=sys.stderr)

@@ -5,14 +5,15 @@ constants that shape thermal behaviour: the RC network of the chassis, the
 kernel's throttling thresholds, platform rail power, and the battery.  The
 constants are calibrated to reproduce the paper's observed behaviour
 (DESIGN.md §5), sized plausibly for each chassis (plastic Nexus 5, large
-Nexus 6, metal Nexus 6P...).
+Nexus 6, metal Nexus 6P...).  A chassis network is assembled once per
+(spec, solver) and every unit gets a fresh copy of that template.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.device.battery import BatterySpec
 from repro.device.os_model import InputVoltageThrottle
@@ -47,8 +48,18 @@ class ThermalSpec:
 
         ``solver`` selects the integration scheme — sub-stepped explicit
         Euler or the exact ``expm`` propagator (see
-        :mod:`repro.thermal.propagator`).
+        :mod:`repro.thermal.propagator`).  The first build per (spec,
+        solver) assembles a template network; every build returns a
+        :meth:`~repro.thermal.network.ThermalNetwork.fresh` copy of it,
+        which shares the template's immutable arrays.
         """
+        key = (self, solver)
+        template = _NETWORK_TEMPLATES.get(key)
+        if template is None:
+            template = _NETWORK_TEMPLATES[key] = self._network(solver)
+        return template.fresh(initial_temp_c)
+
+    def _network(self, solver: str) -> ThermalNetwork:
         return ThermalNetwork(
             nodes=[
                 ThermalNode("cpu", self.cpu_capacity),
@@ -64,9 +75,12 @@ class ThermalSpec:
                 ThermalLink("battery", "case", self.r_battery_case),
                 ThermalLink("case", "ambient", self.r_case_ambient),
             ],
-            initial_temp_c=initial_temp_c,
             solver=solver,
         )
+
+
+#: Template network per (ThermalSpec, solver); see ThermalSpec.build.
+_NETWORK_TEMPLATES: Dict[Tuple[ThermalSpec, str], ThermalNetwork] = {}
 
 
 @dataclass(frozen=True)

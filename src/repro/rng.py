@@ -16,6 +16,7 @@ which gives independent, well-distributed streams.
 :class:`NormalBlocks` reads standard normals from such streams a block at
 a time, bit for bit as the per-call draws would give them; both engines
 take their OS noise through it, and the batched engine its sensor noise.
+A refill draws straight into its row of the block.
 """
 
 from __future__ import annotations
@@ -106,11 +107,14 @@ class NormalBlocks:
     def _refill(self, row: int) -> None:
         rng = self._rngs[row]
         self._starts[row] = rng.bit_generator.state
-        self._block[row] = rng.standard_normal(self._length)
+        # Drawn straight into the row: no temporary block, same values.
+        rng.standard_normal(out=self._block[row])
         self._cursor[row] = 0
 
     def _refill_exhausted(self, rows: np.ndarray) -> None:
-        for row in rows[self._cursor[rows] >= self._length]:
+        if self._cursor_max < self._length:
+            return  # no cursor reaches the block end (see _cursor_max)
+        for row in rows[self._cursor[rows] >= self._length].tolist():
             self._refill(row)
 
     def take_all(self) -> np.ndarray:

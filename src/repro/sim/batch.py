@@ -44,6 +44,17 @@ and supplies stop advancing — a serial world that simply is not stepped)
 while the still-cooling cohort fast-forwards whole poll windows; each
 shrink of the active cohort is counted as a *cohort split* for the
 observability layer.
+
+Fixed cost per step
+-------------------
+At crowd widths (~128 units) a step's fixed numpy cost dominates, so
+the checks that usually cannot act sit behind cheap scalar proofs that
+they cannot fire: per-deadline poll slacks, a countdown to the next
+decimated trace row, a running lower bound on the batteries' state of
+charge and a peak-load deliverability bound.  None skips a check that
+could act, so the bits are those of the unguarded step.  Node
+temperatures and injected power live in node-major blocks, which the
+propagator's node-major update reads and writes without gathers.
 """
 
 from __future__ import annotations
@@ -113,15 +124,18 @@ class _ClusterBatch:
         self.leak_coeff = np.array(
             [spec.leak_ref_w * dev.profile.leak_factor for dev in devices]
         )
-        # Per-unit binned table voltage for every ladder rung, volts.
-        self.volt_table = np.array(
-            [
-                [
-                    spec.vf_table.voltage_v(dev.soc.clusters[cluster_index].bin_index, f)
+        # Per-unit binned table voltage for every ladder rung, volts; a
+        # bin's row is interpolated once however many units share it.
+        rows: "dict[int, list]" = {}
+        for dev in devices:
+            bin_index = dev.soc.clusters[cluster_index].bin_index
+            if bin_index not in rows:
+                rows[bin_index] = [
+                    spec.vf_table.voltage_v(bin_index, f)
                     for f in spec.freq_table_mhz
                 ]
-                for dev in devices
-            ]
+        self.volt_table = np.array(
+            [rows[dev.soc.clusters[cluster_index].bin_index] for dev in devices]
         )
         self.freq = np.array(
             [dev.soc.clusters[cluster_index].freq_mhz for dev in devices]
@@ -215,13 +229,17 @@ class _CohortWorld:
         self._idx_cpu, self._idx_case, self._idx_pkg = thermal.injection_indices(
             ("cpu", "case", "pkg")
         )
-        self._temps = np.array(
+        # Node temperatures and injected power are (units, nodes) views of
+        # node-major blocks: each node's column is one contiguous run, as
+        # the per-node reads and writes and ExpmPropagator.advance_batch's
+        # node-major update want it.
+        self._temps = np.ascontiguousarray(
             [
-                [dev.thermal.temperature_at(i) for i in range(self._node_count)]
-                for dev in devices
+                [dev.thermal.temperature_at(i) for dev in devices]
+                for i in range(self._node_count)
             ]
-        )
-        self._power_buf = np.zeros((count, self._node_count))
+        ).T
+        self._power_buf = np.zeros((self._node_count, count)).T
 
         # -- per-unit device-persistent state --------------------------------
         self._now_dev = np.array([dev.now_s for dev in devices])
@@ -283,6 +301,9 @@ class _CohortWorld:
         self._steal_interval = os_ref.steal_interval_s
         self._steal_frac = np.array([dev.os._steal_frac for dev in devices])
         self._steal_until = np.array([dev.os._steal_until_s for dev in devices])
+        # The retired-work factor ``1 - steal``; it only moves when a
+        # steal fraction is resampled.
+        self._steal_keep = 1.0 - self._steal_frac
         # Steal resamples and background noise share each unit's OS stream,
         # and so its block cursor.  The serial OsBehavior draws nothing
         # when its terms are disabled; matching the gates keeps per-unit
@@ -323,6 +344,7 @@ class _CohortWorld:
                 for dev in devices
             ]
         )
+        self._all_noisy = bool(self._sensor_noisy.all())
 
         self._awake_idle = spec.rails.awake_idle_w
         self._asleep_w = spec.rails.asleep_w
@@ -369,6 +391,10 @@ class _CohortWorld:
             self._bat_soc = np.array(
                 [dev.supply.state_of_charge for dev in devices]
             )
+            # Running lower bound on every unit's state of charge (see
+            # _battery_draw_awake): while it is positive no battery is
+            # empty and the clamp at zero changes nothing.
+            self._bat_floor = float(self._bat_soc.min())
             self._bat_last_load = np.array(
                 [dev.supply._last_load_w for dev in devices]
             )
@@ -447,9 +473,14 @@ class _CohortWorld:
         self._rows = np.arange(count)
         self._all_units = np.ones(count, dtype=bool)
         # Hot-loop scratch (one allocation per batch, reused every step).
-        self._scr_soc = np.zeros(count)
-        self._scr_ops = np.zeros(count)
         self._scr_noise = np.empty(count)
+        # What every sleeping unit's trace row reads for supply and SoC
+        # power (constants of the cohort).
+        self._asleep_supply = np.full(count, self._asleep_w / self._efficiency)
+        self._zeros = np.zeros(count)
+        # Every unit's injected power while asleep (all at the package).
+        self._asleep_power = np.zeros((self._node_count, count)).T
+        self._asleep_power[:, self._idx_pkg] = self._asleep_supply
         if room.ndim == 0:
             self._room_ambient = np.full(count, self._room_temp)
         else:
@@ -578,6 +609,9 @@ class _CohortWorld:
         self._traces: Optional[List[Trace]] = None
         self._event_logs: Optional[List[EventLog]] = None
         self._clock_steps = np.zeros(count, dtype=np.int64)
+        # Awake steps left before the next one on which some unit's clock
+        # is a multiple of the trace decimation (see _step_awake step 7).
+        self._trace_wait = 0
         # Serial World.__init__ starts the event edge-detector at zero steps
         # but at the device's *actual* online count.
         self._last_mit = np.zeros(count, dtype=np.int64)
@@ -695,8 +729,11 @@ class _CohortWorld:
         elapsed = np.zeros(count)
         cohort = count
         while True:
-            polled = np.flatnonzero(active)
-            done = polled[self._read_sensors(polled) <= targets_c[polled]]
+            if cohort == count:
+                done = np.flatnonzero(self._read_sensors(None) <= targets_c)
+            else:
+                polled = np.flatnonzero(active)
+                done = polled[self._read_sensors(polled) <= targets_c[polled]]
             elapsed[done] = self._clock_steps[done] * dt - started[done]
             active[done] = False
             remaining = int(active.sum())
@@ -729,7 +766,7 @@ class _CohortWorld:
 
     def read_sensors(self) -> np.ndarray:
         """Poll every unit's CPU temperature sensor, one draw per unit."""
-        return self._read_sensors(self._rows)
+        return self._read_sensors(None)
 
     def finalize(self) -> None:
         """Write the batched state back into the per-unit Device objects."""
@@ -812,11 +849,19 @@ class _CohortWorld:
     def _online_totals(self) -> np.ndarray:
         return self._online_big + self._other_cores
 
-    def _read_sensors(self, units: np.ndarray) -> np.ndarray:
-        """Vectorized serial TemperatureSensor reads of ``units``' CPU nodes."""
-        value = self._temps[units, self._idx_cpu] + self._sensor_offset
-        noisy = self._sensor_noisy[units]
-        if noisy.any():
+    def _read_sensors(self, units: Optional[np.ndarray]) -> np.ndarray:
+        """Vectorized serial TemperatureSensor reads of ``units``' CPU
+        nodes (``None``: every unit, without gathers)."""
+        if units is None:
+            value = self._temps[:, self._idx_cpu] + self._sensor_offset
+            noisy = None if self._all_noisy else self._sensor_noisy
+            units = self._rows
+        else:
+            value = self._temps[units, self._idx_cpu] + self._sensor_offset
+            noisy = self._sensor_noisy[units]
+        if noisy is None:
+            value += self._sensor_sigma * self._sensor_draws.take_all()
+        elif noisy.any():
             draws = self._sensor_draws.take(units[noisy])
             value[noisy] += self._sensor_sigma * draws
         quantum = self._sensor_quantum
@@ -862,51 +907,89 @@ class _CohortWorld:
         return volts
 
     def _battery_draw_awake(self, supply: np.ndarray, dt: float) -> None:
-        """Every unit's ``Battery.draw`` for one awake step, vectorized."""
+        """Every unit's ``Battery.draw`` for one awake step, vectorized.
+
+        Two scalar bounds stand in for vector checks that cannot fire.  A
+        peak load under ``_bat_safe_w`` skips the exact terminal-voltage
+        solve.  ``_bat_floor`` is a lower bound on every unit's state of
+        charge, carried down each step by the drain of the peak load:
+        rounding is monotone, so no unit drains more.  While it is
+        positive no battery can be empty and the clamp at zero is a
+        no-op, so both are skipped.
+        """
         soc = self._bat_soc
-        if (soc <= 0.0).any():
+        floor = self._bat_floor
+        if not floor > 0.0 and (soc <= 0.0).any():
             raise SimulationError("battery is empty")
-        if supply.max() >= self._bat_safe_w:
+        peak = float(supply.max())
+        if peak >= self._bat_safe_w:
             self._battery_terminal_v(supply)  # exact deliverability check
         self._bat_last_load = supply.copy()
-        self._energy_total += supply * dt
-        np.maximum(
-            0.0, soc - supply * dt / self._bat_capacity, out=self._bat_soc
-        )
+        energy = supply * dt
+        self._energy_total += energy
+        drain = energy / self._bat_capacity
+        floor -= peak * dt / self._bat_capacity
+        if floor > 0.0:
+            np.subtract(soc, drain, out=soc)
+        else:
+            np.maximum(0.0, soc - drain, out=soc)
+            floor = float(soc.min())
+        self._bat_floor = floor
 
     def _battery_draw_masked(
-        self, active: np.ndarray, power_w: float, duration: float
+        self, active: Union[np.ndarray, slice], power_w: float, duration: float
     ) -> None:
-        """The active cohort's ``Battery.draw`` for one sleeping macro window."""
+        """The active cohort's ``Battery.draw`` for one sleeping macro window.
+
+        ``active`` is a unit mask, or a slice for every unit.  The scalar
+        bounds of :meth:`_battery_draw_awake` guard the same checks.
+        """
         soc = self._bat_soc[active]
-        if (soc <= 0.0).any():
+        if not self._bat_floor > 0.0 and (soc <= 0.0).any():
             raise SimulationError("battery is empty")
-        self._battery_terminal_v(np.full(soc.size, power_w), soc)
+        if power_w >= self._bat_safe_w:
+            self._battery_terminal_v(np.full(soc.size, power_w), soc)
         self._bat_last_load[active] = power_w
         self._energy_total[active] += power_w * duration
         self._bat_soc[active] = np.maximum(
             0.0, soc - power_w * duration / self._bat_capacity
         )
+        self._bat_floor = float(self._bat_soc.min())
 
-    def _voltage_terms(self, batch, voltage, hz, activity, members):
+    @staticmethod
+    def _core_sum(per_core, core_count, online):
+        """Per unit, ``per_core`` added once per online core, left to right.
+
+        The serial cluster sums its online cores by repeated addition (not
+        a multiply — they differ at the last ulp for 3+ cores).  ``online``
+        is the per-unit online count, or ``None`` when every core is
+        online; then each unit's sum is picked from the running partial
+        sums (``0.0 + x`` is ``x`` for these non-negative terms).
+        """
+        if online is None:
+            total = per_core.copy()
+            for _ in range(core_count - 1):
+                total += per_core
+            return total
+        partial = per_core
+        sums = [np.zeros_like(per_core), partial]
+        for _ in range(core_count - 1):
+            partial = partial + per_core
+            sums.append(partial)
+        return np.choose(online, sums)
+
+    def _voltage_terms(self, batch, voltage, hz, activity, online):
         """One cluster's rail-voltage-dependent power terms, per unit.
 
         Returns the dynamic power summed over online cores and one core's
         leakage before its temperature factor.  ``activity`` is the
         per-core switching activity (``None`` for a fully busy core),
-        ``members`` the per-core online masks when some unit has cores
-        offline (``None`` when every core is online).
+        ``online`` the per-unit online core count when some unit has
+        cores offline (``None`` when every core is online).
         """
         base = batch.c_eff * voltage * voltage * hz
         per_core_dyn = base if activity is None else base * activity
-        if members is None:
-            dynamic = per_core_dyn.copy()
-            for _ in range(batch.core_count - 1):
-                dynamic += per_core_dyn
-        else:
-            dynamic = np.zeros(self._count)
-            for member in members:
-                dynamic[member] += per_core_dyn[member]
+        dynamic = self._core_sum(per_core_dyn, batch.core_count, online)
         volt_term = (voltage / batch.leak_vref) * np.exp(
             batch.leak_volt_slope * (voltage - batch.leak_vref)
         )
@@ -922,40 +1005,49 @@ class _CohortWorld:
         return slack <= 0.5 * dt
 
     @staticmethod
-    def _poll_policy(die, now, state, next_poll, interval, hot_t, cold_t, cap, dt):
+    def _poll_policy(
+        die, die_max, now, state, next_poll, interval, hot_t, cold_t, cap, dt
+    ):
         """Masked replay of the serial sampled-mitigation ``while`` loop.
 
         Updates ``state`` and ``next_poll`` in place.  Returns whether any
         unit's poll fired, whether any unit's mitigation state moved (when
         none did, the governor block has nothing new to see) and the
-        policy's slack for the next step.
+        policy's slack for the next step.  ``die_max`` is ``die.max()``.
         """
-        due = now >= next_poll
-        fired = bool(due.any())
+        # A unit is due when ``now >= next``, which for finite floats is
+        # ``next - now <= 0`` (IEEE subtraction of distinct values is
+        # never zero); the smallest gap is also the slack.
+        gap = next_poll - now
+        least = gap.min()
+        if least > 0.0:
+            return False, False, float(least) - dt
         moved = False
-        if fired:
-            # No unit at the hot threshold cannot deepen, and a policy with
-            # every unit at step zero cannot clear: the scalar tests skip
-            # the masked updates that would change nothing.
-            can_deepen = die.max() >= hot_t
-            while True:
-                np.add(next_poll, interval, out=next_poll, where=due)
-                if can_deepen:
-                    deeper = due & (die >= hot_t)
-                    deeper &= state < cap
-                    if deeper.any():
-                        state += deeper
-                        moved = True
-                if state.any():
-                    lighter = due & (die <= cold_t)
-                    lighter &= state > 0
-                    if lighter.any():
-                        state -= lighter
-                        moved = True
-                due = now >= next_poll
-                if not due.any():
-                    break
-        return fired, moved, float((next_poll - now).min()) - dt
+        # No unit at the hot threshold cannot deepen, and a policy with
+        # every unit at step zero cannot clear: the scalar tests skip
+        # the masked updates that would change nothing.
+        can_deepen = die_max >= hot_t
+        while True:
+            due = gap <= 0.0
+            np.add(next_poll, interval, out=next_poll, where=due)
+            if can_deepen:
+                deeper = die >= hot_t
+                deeper &= due
+                deeper &= state < cap
+                if np.count_nonzero(deeper):
+                    state += deeper
+                    moved = True
+            if np.count_nonzero(state):
+                lighter = die <= cold_t
+                lighter &= due
+                lighter &= state > 0
+                if np.count_nonzero(lighter):
+                    state -= lighter
+                    moved = True
+            gap = next_poll - now
+            least = gap.min()
+            if least > 0.0:
+                return True, moved, float(least) - dt
 
     def _step_awake(self) -> None:
         """One lock-step awake engine step for every unit."""
@@ -988,44 +1080,41 @@ class _CohortWorld:
                 case_pre = temps[:, self._idx_case]
                 surface = case_pre - (case_pre - ambient) * self._skin_contact
                 _, moved, self._skin_slack = self._poll_policy(
-                    surface, now, self._skin_steps, self._skin_next,
-                    self._skin_interval, self._skin_hot, self._skin_cold,
-                    self._skin_max, dt,
+                    surface, surface.max(), now, self._skin_steps,
+                    self._skin_next, self._skin_interval, self._skin_hot,
+                    self._skin_cold, self._skin_max, dt,
                 )
                 if moved:
                     self._gov_cache = None
             else:
                 self._skin_slack -= dt
-        if must_check(self._stw_slack, dt):
+        check_stw = must_check(self._stw_slack, dt)
+        check_shd = self._has_shutdown and must_check(self._shd_slack, dt)
+        die_max = die.max() if check_stw or check_shd else None
+        if check_stw:
             fired, polled, self._stw_slack = self._poll_policy(
-                die, now, self._stw_steps, self._stw_next,
+                die, die_max, now, self._stw_steps, self._stw_next,
                 self._stw_interval, self._stw_hot, self._stw_cold, self._stw_max,
                 dt,
             )
         else:
             fired = polled = False
             self._stw_slack -= dt
-        if self._has_shutdown:
-            if must_check(self._shd_slack, dt):
-                shd_fired, moved, self._shd_slack = self._poll_policy(
-                    die, now, self._shd_offline, self._shd_next,
-                    self._shd_interval, self._shd_hot, self._shd_cold,
-                    self._shd_max, dt,
-                )
-                fired = fired or shd_fired
-                if moved:
-                    polled = True
-                    self._any_offline = bool(self._shd_offline.any())
-            else:
-                self._shd_slack -= dt
+        if check_shd:
+            shd_fired, moved, self._shd_slack = self._poll_policy(
+                die, die_max, now, self._shd_offline, self._shd_next,
+                self._shd_interval, self._shd_hot, self._shd_cold,
+                self._shd_max, dt,
+            )
+            fired = fired or shd_fired
+            if moved:
+                polled = True
+                self._any_offline = bool(self._shd_offline.any())
+        elif self._has_shutdown:
+            self._shd_slack -= dt
         if polled:
             self._gov_cache = None
         mit_steps = self._stw_steps
-        # Soc.step sums die mitigation and the skin-policy external steps
-        # before mapping to a ladder ceiling.
-        ceiling_steps = (
-            mit_steps + self._skin_steps if self._has_skin else mit_steps
-        )
 
         # 3. RBCPR: one evaluation serves every cluster this step.
         if self._rbcpr is not None:
@@ -1045,31 +1134,37 @@ class _CohortWorld:
         # replayed.  Only the temperature-dependent leakage factor and, on
         # RBCPR parts, what the rail voltage moves (dynamic power and the
         # leakage voltage term) are recomputed — float-for-float the same
-        # expressions the build step evaluated.
-        util = self._utilization if self._load_active else 0.0
-        soc_power = self._scr_soc
-        soc_power.fill(0.0)
+        # expressions the build step evaluated.  Each cluster adds
+        # ``dynamic + lv·temp_term·leak_cores`` to the SoC power; the
+        # first cluster's term is the sum itself, as ``0.0 + x`` is ``x``
+        # for these non-negative terms.
         temp_term = np.exp(self._leak_temp_slope * (die - 40.0))
+        soc_power = None
         cache = self._gov_cache
         if cache is not None:
-            cluster_cache, ops_rate_total, online_big = cache
+            cluster_cache, ops_step, online_big = cache
             self._online_big = online_big
-            if adjust is None:
-                for entry in cluster_cache:
-                    dynamic, lv, leak_cores = entry[-3:]
-                    soc_power += dynamic + lv * temp_term * leak_cores
-            else:
-                for batch, table_v, hz, activity, members, dynamic, lv, leak_cores in (
-                    cluster_cache
-                ):
+            for batch, table_v, hz, activity, online, dynamic, lv, leak_cores in (
+                cluster_cache
+            ):
+                if adjust is not None:
                     batch.voltage_adjust = adjust
                     dynamic, lv = self._voltage_terms(
-                        batch, table_v + adjust, hz, activity, members
+                        batch, table_v + adjust, hz, activity, online
                     )
-                    soc_power += dynamic + lv * temp_term * leak_cores
+                term = lv * temp_term
+                term *= leak_cores
+                term += dynamic
+                if soc_power is None:
+                    soc_power = term
+                else:
+                    soc_power += term
         else:
-            ops_rate_total = self._scr_ops
-            ops_rate_total.fill(0.0)
+            util = self._utilization if self._load_active else 0.0
+            ceiling_steps = (
+                mit_steps + self._skin_steps if self._has_skin else mit_steps
+            )
+            ops_rate_total = np.zeros(count)
             if self._battery_mode and self._vt_threshold is not None:
                 # Serial Device.step consults the supply's terminal voltage
                 # (last step's load, current SoC) before Soc.step each step.
@@ -1116,47 +1211,45 @@ class _CohortWorld:
                 else:
                     activity = None if util == 1.0 else util
                     per_core_ops = (hz * batch.ipc) * util
-                # Left-to-right per-core accumulation, exactly as the serial
-                # cluster sums its online cores (repeated addition, not a
-                # multiply — they differ at the last ulp for 3+ cores).
+                # Hotplug sheds big-cluster cores only.
                 if k == 0 and self._any_offline:
                     online = np.maximum(0, batch.core_count - self._shd_offline)
                     self._online_big = online
-                    members = [core < online for core in range(batch.core_count)]
-                    retire = np.zeros(count)
-                    for member in members:
-                        retire[member] += per_core_ops[member]
                     leak_cores = online
                 else:
                     if k == 0:
                         self._online_big = self._online_big_full
-                    members = None
-                    retire = per_core_ops.copy()
-                    for _ in range(batch.core_count - 1):
-                        retire += per_core_ops
+                    online = None
                     leak_cores = batch.core_count
+                retire = self._core_sum(per_core_ops, batch.core_count, online)
                 dynamic, lv = self._voltage_terms(
-                    batch, table_v + batch.voltage_adjust, hz, activity, members
+                    batch, table_v + batch.voltage_adjust, hz, activity, online
                 )
-                soc_power += dynamic + lv * temp_term * leak_cores
+                term = lv * temp_term
+                term *= leak_cores
+                term += dynamic
+                if soc_power is None:
+                    soc_power = term
+                else:
+                    soc_power += term
                 ops_rate_total += retire
                 cluster_cache.append(
-                    (batch, table_v, hz, activity, members, dynamic, lv, leak_cores)
+                    (batch, table_v, hz, activity, online, dynamic, lv, leak_cores)
                 )
+            ops_step = ops_rate_total * dt
             if self._gov_cacheable:
-                self._gov_cache = (
-                    cluster_cache, ops_rate_total.copy(), self._online_big
-                )
-        ops = ops_rate_total * dt
+                self._gov_cache = (cluster_cache, ops_step, self._online_big)
 
         # 5. OS: cycle steal (piecewise-constant, resampled per interval)
         # then residual background noise — one draw per unit per step, in
         # the serial order, from each unit's own stream (its block row).
+        # ``ops_step`` is shared with the governor cache: never written.
         if self._steal_enabled:
             if must_check(self._steal_slack, dt):
-                due = now >= self._steal_until
-                if due.any():
-                    units = np.flatnonzero(due)
+                gap = self._steal_until - now
+                least = gap.min()
+                if least <= 0.0:
+                    units = (gap <= 0.0).nonzero()[0]
                     sampled = (
                         self._steal_mean
                         + self._steal_sigma * self._os_draws.take(units)
@@ -1165,10 +1258,14 @@ class _CohortWorld:
                         np.maximum(sampled, 0.0), self._steal_max
                     )
                     self._steal_until[units] = now[units] + self._steal_interval
-                self._steal_slack = float((self._steal_until - now).min()) - dt
+                    self._steal_keep = 1.0 - self._steal_frac
+                    least = (self._steal_until - now).min()
+                self._steal_slack = float(least) - dt
             else:
                 self._steal_slack -= dt
-            ops *= 1.0 - self._steal_frac
+            ops = ops_step * self._steal_keep
+        else:
+            ops = ops_step
         if self._noise_enabled:
             noise = self._scr_noise
             # normal(0, σ) is 0.0 + σ·z; that 0.0 only flips the sign of
@@ -1179,9 +1276,13 @@ class _CohortWorld:
         else:
             noise = self._noise_const
 
-        # 6. Rails, supply metering, thermal injection.
-        load = soc_power + self._awake_idle + noise
-        supply = load / self._efficiency
+        # 6. Rails, supply metering, thermal injection.  ``supply`` is
+        # ``(soc_power + idle + noise) / efficiency``, in place on one
+        # fresh array.  The case node's injection is always zero, and the
+        # buffer was built that way.
+        supply = soc_power + self._awake_idle
+        supply += noise
+        supply /= self._efficiency
         if self._battery_mode:
             self._battery_draw_awake(supply, dt)
         else:
@@ -1194,8 +1295,7 @@ class _CohortWorld:
             np.maximum(self._peak, current, out=self._peak)
         power = self._power_buf
         power[:, self._idx_cpu] = soc_power
-        power[:, self._idx_case] = 0.0
-        power[:, self._idx_pkg] = supply - soc_power
+        np.subtract(supply, soc_power, out=power[:, self._idx_pkg])
         self._propagator.advance_batch(temps, power, dt)
         self._now_dev = now + dt
         self._ops_total += ops
@@ -1204,20 +1304,30 @@ class _CohortWorld:
         # only move when a policy poll moves them, so the edge detectors are
         # skipped on other steps — except that an iteration starting with
         # steps already set has an edge pending (its detector starts at
-        # zero), which the first fired poll logs.
+        # zero), which the first fired poll logs.  A unit records on steps
+        # where its clock is a multiple of the decimation; ``_trace_wait``
+        # counts the steps until the first such one, so the steps between
+        # skip the fleet-wide modulo.
         if polled or (fired and self._edge_pending):
             self._record_events(mit_steps)
-        rec_mask = self._clock_steps % self._decimation == 0
-        if rec_mask.any():
-            self._record_traces(
-                np.flatnonzero(rec_mask), self._clock_steps * dt, ambient,
-                supply, soc_power, 0.0,
-            )
-        self._clock_steps += 1
+        clock_steps = self._clock_steps
+        if self._trace_wait:
+            self._trace_wait -= 1
+            clock_steps += 1
+        else:
+            due = clock_steps % self._decimation == 0
+            recording = np.count_nonzero(due)
+            if recording:
+                self._record_traces(
+                    self._rows if recording == count else due.nonzero()[0],
+                    clock_steps * dt, ambient, supply, soc_power, 0.0,
+                )
+            clock_steps += 1
+            self._trace_wait = self._steps_to_trace()
         self._prev_supply = supply
         if self._invariants is not None:
             self._invariants.observe_awake(
-                self._clock_steps * dt,
+                clock_steps * dt,
                 self._phase,
                 temps[:, self._idx_cpu],
                 temps[:, self._idx_case],
@@ -1228,11 +1338,22 @@ class _CohortWorld:
                 dt,
             )
 
+    def _steps_to_trace(self) -> int:
+        """Awake steps until some unit's clock is a decimation multiple."""
+        return int(((-self._clock_steps) % self._decimation).min())
+
     def _fast_forward(self, active: np.ndarray, window_s: float) -> None:
-        """Advance the sleeping active cohort one poll window exactly."""
+        """Advance the sleeping active cohort one poll window exactly.
+
+        With every unit asleep (the probe's windows, a cooldown before its
+        first exit) the updates select with a basic slice, in place,
+        instead of gathering and scattering through the mask.
+        """
         dt = self._dt
         steps = round(window_s / dt)
         duration = steps * dt
+        everyone = np.count_nonzero(active) == self._count
+        sel = slice(None) if everyone else active
         if self._chamber is not None:
             self._chamber.run_for_masked(
                 active, self._room_temp, duration, self._prev_supply
@@ -1241,36 +1362,38 @@ class _CohortWorld:
         else:
             ambient = self._room_ambient
         temps = self._temps
-        temps[active, self._idx_ambient] = ambient[active]
+        temps[sel, self._idx_ambient] = ambient[sel]
         supply = self._asleep_w / self._efficiency
         if self._battery_mode:
-            self._battery_draw_masked(active, supply, duration)
+            self._battery_draw_masked(sel, supply, duration)
         else:
             current = supply / self._voltage
-            self._elapsed[active] += duration
+            self._elapsed[sel] += duration
             energy = supply * duration
-            self._energy_win[active] += energy
-            self._energy_total[active] += energy
-            self._charge[active] += current * duration
-            self._peak[active] = np.maximum(self._peak[active], current)
-        sub = temps[active]
-        power = np.zeros_like(sub)
-        power[:, self._idx_pkg] = supply
-        self._propagator.advance_batch(sub, power, duration)
-        temps[active] = sub
-        self._now_dev[active] += duration
+            self._energy_win[sel] += energy
+            self._energy_total[sel] += energy
+            self._charge[sel] += current * duration
+            self._peak[sel] = np.maximum(self._peak[sel], current)
+        if everyone:
+            self._propagator.advance_batch(temps, self._asleep_power, duration)
+        else:
+            sub = temps[active]
+            power = np.zeros_like(sub)
+            power[:, self._idx_pkg] = supply
+            self._propagator.advance_batch(sub, power, duration)
+            temps[active] = sub
+        self._now_dev[sel] += duration
         # Only the active units' clocks moved, and by a whole window, so
         # every poll slack is stale: the next awake step checks exactly.
         self._stw_slack = self._shd_slack = 0.0
         self._skin_slack = self._steal_slack = 0.0
-        self._clock_steps[active] += steps
-        self._ff_windows[active] += 1
-        self._ff_steps[active] += steps
-        self._prev_supply[active] = supply
+        self._clock_steps[sel] += steps
+        self._ff_windows[sel] += 1
+        self._ff_steps[sel] += steps
+        self._prev_supply[sel] = supply
         # Macro windows always leave a trace sample at the poll boundary;
         # mitigation and hotplug cannot change while asleep, so no events.
         clock_now = self._clock_steps * dt
-        supply_arr = np.full(self._count, supply)
         if self._invariants is not None:
             self._invariants.observe_asleep(
                 active,
@@ -1283,15 +1406,16 @@ class _CohortWorld:
                 duration,
             )
         self._record_traces(
-            np.flatnonzero(active), clock_now, ambient, supply_arr,
-            np.zeros(self._count), 1.0,
+            self._rows if everyone else active.nonzero()[0], clock_now,
+            ambient, self._asleep_supply, self._zeros, 1.0,
         )
+        self._trace_wait = self._steps_to_trace()
 
     def _record_events(self, mit_steps: np.ndarray) -> None:
         """Log every unit's mitigation-step and online-core edges."""
         online = self._online_totals()
-        stepped = np.flatnonzero(mit_steps != self._last_mit)
-        changed = np.flatnonzero(online != self._last_online)
+        stepped = (mit_steps != self._last_mit).nonzero()[0]
+        changed = (online != self._last_online).nonzero()[0]
         self._edge_pending = False
         if not (stepped.size or changed.size):
             return
@@ -1335,21 +1459,26 @@ class _CohortWorld:
         soc_power: np.ndarray,
         asleep: float,
     ) -> None:
-        """Write one sample per unit in ``units`` into the trace store."""
-        times = clock_now[units]
-        fresh = times > self._last_trace_stamp[units]
+        """Write one sample per unit in ``units`` into the trace store.
+
+        ``units`` of ``_rows`` itself (every unit) reads the per-unit
+        arrays through a basic slice instead of gathering them.
+        """
+        sel = slice(None) if units is self._rows else units
+        times = clock_now[sel]
+        fresh = times > self._last_trace_stamp[sel]
         if self._invariants is not None:
             # Same-stamp re-records overwrite the previous row (as
             # Trace.append does), so only strictly advancing stamps reach
             # the monotone-time checker — mirroring what the serial
             # checker sees, where an overwrite never grows the trace.
             self._invariants.observe_trace(units[fresh], times[fresh])
-        self._last_trace_stamp[units] = times
+        self._last_trace_stamp[sel] = times
         # A fresh stamp takes the unit's next row; a repeated one (a macro
         # window's end sample met by the next decimated step) overwrites
         # the unit's last row.
-        rows = self._trace_rows[units] + fresh
-        self._trace_rows[units] = rows
+        rows = self._trace_rows[sel] + fresh
+        self._trace_rows[sel] = rows
         rows -= 1
         store = self._trace_store
         if self._traces is not None:
@@ -1363,14 +1492,14 @@ class _CohortWorld:
         temps = self._temps
         data = np.empty((units.size, store.shape[2]))
         data[:, 0] = times
-        data[:, 1] = temps[units, self._idx_cpu]
-        data[:, 2] = temps[units, self._idx_case]
-        data[:, 3] = ambient[units]
-        data[:, 4] = supply[units]
-        data[:, 5] = soc_power[units]
-        data[:, 6] = self._clusters[0].freq[units]
-        data[:, 7] = self._online_totals()[units]
-        data[:, 8] = self._stw_steps[units]
+        data[:, 1] = temps[sel, self._idx_cpu]
+        data[:, 2] = temps[sel, self._idx_case]
+        data[:, 3] = ambient[sel]
+        data[:, 4] = supply[sel]
+        data[:, 5] = soc_power[sel]
+        data[:, 6] = self._clusters[0].freq[sel]
+        data[:, 7] = self._online_totals()[sel]
+        data[:, 8] = self._stw_steps[sel]
         data[:, 9] = asleep
         store[units, rows] = data
 

@@ -1,6 +1,8 @@
 """The five Qualcomm SoC generations of the study (paper Section IV).
 
-Each builder returns a calibrated :class:`SocSpec`.  Frequency ladders are
+Each builder returns a calibrated :class:`SocSpec`; :func:`soc_by_name`
+builds each catalogued spec once per process and shares it, since a spec
+is frozen.  Frequency ladders are
 taken from the shipped kernels (abridged to the paper-relevant steps);
 power coefficients are calibrated so the simulated fleets reproduce the
 paper's variation magnitudes (DESIGN.md §5) — they are plausible for the
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Dict, Tuple
 
 from repro.errors import UnknownModelError
 from repro.silicon.binning import VoltageBinner
@@ -273,9 +275,22 @@ _BUILDERS = {
 SOC_NAMES: Tuple[str, ...] = tuple(_BUILDERS)
 
 
+#: Catalogued specs built so far, by name (see soc_by_name).
+_SPECS: Dict[str, SocSpec] = {}
+
+
 def soc_by_name(name: str) -> SocSpec:
-    """Build a catalogued SoC by name."""
-    try:
-        return _BUILDERS[name]()
-    except KeyError:
-        raise UnknownModelError("SoC", name, SOC_NAMES) from None
+    """The catalogued SoC named ``name``.
+
+    Specs are frozen, so each one is built on first use and then shared
+    by every caller: a fleet of 128 units builds its SoC's ladders and
+    voltage tables once, not 128 times.
+    """
+    spec = _SPECS.get(name)
+    if spec is None:
+        try:
+            builder = _BUILDERS[name]
+        except KeyError:
+            raise UnknownModelError("SoC", name, SOC_NAMES) from None
+        spec = _SPECS[name] = builder()
+    return spec

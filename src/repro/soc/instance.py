@@ -11,6 +11,7 @@ simulation step at a time.  The paper's causal chain lives here:
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError
@@ -80,19 +81,28 @@ class Soc:
             cluster.on_change = self._cluster_changed
 
     def set_governor(self, governor: Governor, cluster: Optional[str] = None) -> None:
-        """Install a governor on one cluster or (default) all clusters."""
+        """Install a governor on one cluster or (default) all clusters.
+
+        A stateful governor keeps a clock on its cluster's ladder, so on a
+        multi-cluster SoC the first cluster gets ``governor`` and every
+        further one its own copy of it; stateless governors are shared.
+        """
         if cluster is not None and cluster not in self._governors:
             known = ", ".join(self._governors)
             raise ConfigurationError(f"unknown cluster {cluster!r}; known: {known}")
         # A pinning governor checks its pin against each ladder here, once,
         # instead of on every step.
         validate = getattr(governor, "validate", None)
+        stateless = type(governor) in _STATELESS_GOVERNORS
+        own = governor
         for state in self.clusters:
             spec = state.spec
             if cluster is None or spec.name == cluster:
                 if validate is not None:
                     validate(spec)
-                self._governors[spec.name] = governor
+                self._governors[spec.name] = own
+                if not stateless:
+                    own = copy.copy(governor)
         self._stateless_governors = all(
             type(installed) in _STATELESS_GOVERNORS
             for installed in self._governors.values()

@@ -10,6 +10,8 @@ integrated by a pluggable solver: explicit Euler with automatic
 sub-stepping for stability (:mod:`repro.thermal.integrator`, the default)
 or the exact zero-order-hold matrix-exponential propagator
 (:mod:`repro.thermal.propagator`, ``solver="expm"``).
+:meth:`ThermalNetwork.fresh` copies a network's topology at a new uniform
+temperature, sharing every array that never changes.
 """
 
 from __future__ import annotations
@@ -152,13 +154,38 @@ class ThermalNetwork:
                 self._row_conductance / self._capacity,
                 0.0,
             )
-        self._integrator = StableEuler(max_rate=float(rates.max()))
+        self._max_rate = float(rates.max())
+        self._integrator = StableEuler(max_rate=self._max_rate)
         self._solver = solver
         self._propagator: Optional[ExpmPropagator] = (
             ExpmPropagator(self._conductance, self._capacity, self._boundary)
             if solver == "expm"
             else None
         )
+
+    def fresh(self, initial_temp_c: float = 25.0) -> "ThermalNetwork":
+        """A new network over this topology, uniformly at ``initial_temp_c``.
+
+        The copy shares everything that never changes after construction:
+        nodes, links, node index, the conductance, capacity and boundary
+        arrays and, under ``expm``, the propagator's shared decomposition.
+        It gets its own temperatures, scratch buffers, integrator and
+        propagator, so it evolves independently, exactly as a network
+        built from the same nodes and links would.
+        """
+        clone = object.__new__(ThermalNetwork)
+        clone.__dict__.update(self.__dict__)
+        size = self._temps.size
+        clone._temps = np.full(size, float(initial_temp_c))
+        clone._power_scratch = np.zeros(size)
+        clone._rate_scratch = np.empty(size)
+        clone._inflow_scratch = np.empty(size)
+        clone._integrator = StableEuler(max_rate=self._max_rate)
+        if self._propagator is not None:
+            clone._propagator = ExpmPropagator(
+                self._conductance, self._capacity, self._boundary
+            )
+        return clone
 
     @property
     def solver(self) -> str:

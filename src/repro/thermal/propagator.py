@@ -20,11 +20,12 @@ boundary, cache_size) arrays references one :class:`_SharedDecomposition`.
 A fleet of same-model devices therefore pays for one ``eigh`` and one
 (Φ, Ψ) build per step size, no matter how many device instances exist —
 and the batched fleet engine reuses the very same pair for its stacked
-update.  The matrix exponential is evaluated through the symmetrized
-system ``M = C^{-1/2}·L_ff·C^{-1/2}`` (similar to ``−A``, and symmetric
-positive semi-definite), whose stable eigendecomposition
-``numpy.linalg.eigh`` provides — no SciPy dependency, and the modal decay
-rates it yields are exact.
+update, which runs node-major (``Φ·Xᵀ``) so every elementwise pass walks
+a whole row of units.  The matrix exponential is evaluated through the
+symmetrized system ``M = C^{-1/2}·L_ff·C^{-1/2}`` (similar to ``−A``,
+and symmetric positive semi-definite), whose stable eigendecomposition
+``numpy.linalg.eigh`` provides — no SciPy dependency, and the modal
+decay rates it yields are exact.
 """
 
 from __future__ import annotations
@@ -197,6 +198,7 @@ class ExpmPropagator:
         self._finite_at = shared.finite_at
         self._boundary_at = shared.boundary_at
         self._coupling_col = shared.coupling_col
+        self._boundary_node = int(shared.boundary[0])
         # ``advance`` scratch: forcing, Φ·x and Ψ·u.
         finite_count = shared.finite.size
         self._forcing = np.empty(finite_count)
@@ -206,6 +208,10 @@ class ExpmPropagator:
         # asks for one step size run after run.
         self._last_dt: Optional[float] = None
         self._last_pair: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        # ``advance_batch`` scratch (forcing, Φ·x, Ψ·u) for the last row
+        # count it was asked to propagate.
+        self._batch_rows = 0
+        self._batch_scratch: Optional[np.ndarray] = None
         self.cache_hits = 0
         self.cache_misses = 0
 
@@ -318,8 +324,38 @@ class ExpmPropagator:
         pair, so the whole fleet advances with two GEMMs instead of
         ``units`` pairs of matvecs.  Results match :meth:`advance` row for
         row up to BLAS summation order (ulp-level).
+
+        The update runs node-major, on the transposed ``(nodes, units)``
+        view, with :meth:`advance`'s selectors and last-pair reuse: every
+        elementwise pass then walks a whole unit row instead of a handful
+        of nodes per unit, and ``Φ·Xᵀ`` forms each entry with the same
+        products and sums as ``X·Φᵀ``.  The single-boundary coupling is
+        the elementwise product the one-column GEMM forms.  Products land
+        in scratch kept for the last row count.
         """
-        phi, psi = self.pair(dt)
-        finite = self._finite
-        forcing = power[:, finite] + temps[:, self._boundary] @ self._coupling.T
-        temps[:, finite] = temps[:, finite] @ phi.T + forcing @ psi.T
+        if dt == self._last_dt:
+            phi, psi = self._last_pair
+            self.cache_hits += 1
+        else:
+            phi, psi = self._last_pair = self.pair(dt)
+            self._last_dt = dt
+        rows = temps.shape[0]
+        if self._batch_rows != rows:
+            self._batch_rows = rows
+            self._batch_scratch = np.empty((3, self._finite.size, rows))
+        forcing, free, forced = self._batch_scratch
+        finite = self._finite_at
+        # forcingᵀ = P_fᵀ + G_fb·T_bᵀ, then T_fᵀ' = Φ·T_fᵀ + Ψ·forcingᵀ.
+        if self._coupling_col is not None:
+            np.multiply.outer(
+                self._coupling_col, temps[:, self._boundary_node], out=forcing
+            )
+        else:
+            np.matmul(self._coupling, temps[:, self._boundary_at].T, out=forcing)
+        np.add(power[:, finite].T, forcing, out=forcing)
+        np.matmul(phi, temps[:, finite].T, out=free)
+        np.matmul(psi, forcing, out=forced)
+        if type(finite) is slice:
+            np.add(free, forced, out=temps[:, finite].T)
+        else:
+            temps[:, finite] = (free + forced).T

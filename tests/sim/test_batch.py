@@ -617,6 +617,115 @@ class TestBatteryBound:
         assert solves == []
 
 
+def steps_until_empty(world, steps):
+    """Awake steps completed before a battery reports itself empty."""
+    for step in range(steps):
+        try:
+            world.run_for(DT)
+        except SimulationError as error:
+            assert "battery is empty" in str(error)
+            return step
+    return None
+
+
+def charged_fleet(charges):
+    devices = synthetic_fleet(
+        "Nexus 5", len(charges), thermal_solver="expm", initial_temp_c=AMBIENT
+    )
+    for device, charge in zip(devices, charges):
+        device.connect_supply(Battery(device.spec.battery, state_of_charge=charge))
+    return devices
+
+
+class TestBatteryFloor:
+    """The running state-of-charge floor skips the empty check and the
+    clamp at zero only while they cannot act: a battery that runs out
+    fails on the serial engine's step, with the floor crossing zero
+    before, on or after the first step."""
+
+    STEPS = 40
+
+    @pytest.mark.parametrize(
+        "charges",
+        [(2e-5, 0.6), (0.6, 3e-4, 0.5), (1e-9, 0.6), (0.5, 0.6)],
+        ids=["first-step", "mid-run", "at-zero", "never"],
+    )
+    def test_empty_battery_fails_on_the_serial_step(self, charges):
+        serial = []
+        for device in charged_fleet(charges):
+            world = World(
+                device, room=ConstantAmbient(AMBIENT), dt=DT,
+                trace_decimation=DECIM,
+            )
+            device.acquire_wakelock()
+            device.start_load()
+            serial.append(steps_until_empty(world, self.STEPS))
+        batched = BatchedWorld(
+            charged_fleet(charges), room_temp_c=AMBIENT, dt=DT,
+            trace_decimation=DECIM,
+        )
+        batched.acquire_wakelock()
+        batched.start_load()
+        failed = [step for step in serial if step is not None]
+        assert steps_until_empty(batched, self.STEPS) == (
+            min(failed) if failed else None
+        )
+
+
+class TestScalarGuardsAgainstUnguardedTwin:
+    """Each scalar guard of the cohort step against a twin on which it
+    never skips: the trace-row countdown (forced to check every step's
+    modulo) and the battery floor (forced to the exact empty check and
+    clamp).  Staggered cooldown exits put the units on different trace
+    phases (a decimation of 7 against 50-step poll windows)."""
+
+    @staticmethod
+    def run():
+        devices = battery_fleet(4, model="Nexus 6P", charge=0.6)
+        world = BatchedWorld(devices, room_temp_c=AMBIENT, dt=DT, trace_decimation=7)
+        world.acquire_wakelock()
+        world.start_load()
+        world.set_phase("warmup")
+        world.run_for(60.0)
+        world.stop_load()
+        world.release_wakelock()
+        world.set_phase("cooldown")
+        cooldown = world.run_cooldown(
+            np.maximum(38.0, world.ambient_now() + 6.0), 5.0, 2700.0
+        )
+        world.acquire_wakelock()
+        world.start_load()
+        world.set_phase("workload")
+        world.run_for(9.0)
+        world.close()
+        world.finalize()
+        cohort = world._cohorts[0][1]
+        return cooldown, [
+            world.ops_total.tobytes(), world.energy_drawn_j.tobytes(),
+            cohort._bat_soc.tobytes(), cohort._temps.tobytes(),
+            *(trace.samples().tobytes() for trace in world.traces),
+        ]
+
+    @pytest.mark.parametrize("guard", ["trace-countdown", "battery-floor"])
+    def test_guarded_run_is_bit_identical(self, monkeypatch, guard):
+        cooldown, want = self.run()
+        assert np.unique(cooldown).size > 1, "cooldown exits did not stagger"
+        cohort = batch_module._CohortWorld
+        if guard == "trace-countdown":
+            monkeypatch.setattr(cohort, "_steps_to_trace", lambda self: 0)
+        else:
+            for name in ("_battery_draw_awake", "_battery_draw_masked"):
+                draw = getattr(cohort, name)
+
+                def unguarded(self, *args, _draw=draw):
+                    self._bat_floor = 0.0
+                    return _draw(self, *args)
+
+                monkeypatch.setattr(cohort, name, unguarded)
+        _, got = self.run()
+        assert got == want
+
+
 @pytest.fixture(scope="module")
 def weak_battery_cohort():
     """A one-unit battery cohort with a high internal resistance."""

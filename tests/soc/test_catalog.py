@@ -30,6 +30,15 @@ class TestCatalogShape:
         years = [soc_by_name(n).year for n in SOC_NAMES]
         assert years == sorted(years)
 
+    @pytest.mark.parametrize(
+        "name, builder",
+        [("SD-800", sd800), ("SD-805", sd805), ("SD-810", sd810),
+         ("SD-820", sd820), ("SD-821", sd821)],
+    )
+    def test_lookup_is_built_once_and_equals_the_builder(self, name, builder):
+        assert soc_by_name(name) is soc_by_name(name)
+        assert soc_by_name(name) == builder()
+
 
 class TestSd800:
     def test_topology(self):

@@ -192,3 +192,48 @@ class TestIntrospection:
     def test_unknown_node_lookup(self):
         with pytest.raises(ConfigurationError):
             two_node_network().temperature("gpu")
+
+
+class TestFresh:
+    """``fresh`` copies share the topology and evolve independently."""
+
+    @pytest.mark.parametrize("solver", ["euler", "expm"])
+    def test_copy_steps_like_a_built_network(self, solver):
+        template = ThermalNetwork(
+            nodes=[ThermalNode("a", 10.0), ThermalNode("b", 4.0),
+                   ThermalNode("amb", math.inf)],
+            links=[ThermalLink("a", "b", 2.0), ThermalLink("b", "amb", 5.0)],
+            solver=solver,
+        )
+        built = ThermalNetwork(
+            nodes=[ThermalNode("a", 10.0), ThermalNode("b", 4.0),
+                   ThermalNode("amb", math.inf)],
+            links=[ThermalLink("a", "b", 2.0), ThermalLink("b", "amb", 5.0)],
+            initial_temp_c=31.0,
+            solver=solver,
+        )
+        copy = template.fresh(31.0)
+        template.step({"a": 9.0}, 0.5)  # the template's state is its own
+        assert copy.temperatures() == built.temperatures()
+        for _ in range(5):
+            copy.step({"a": 2.0}, 0.1)
+            built.step({"a": 2.0}, 0.1)
+        assert copy.temperatures() == built.temperatures()
+        assert copy._conductance is template._conductance
+        assert copy._temps is not template._temps
+        if solver == "expm":
+            assert copy.propagator is not template.propagator
+            assert copy.propagator._shared is template.propagator._shared
+
+    def test_spec_builds_share_one_template(self):
+        from repro.device.catalog import device_spec
+
+        spec = device_spec("Nexus 5").thermal
+        first = spec.build(30.0, solver="expm")
+        second = spec.build(25.0, solver="expm")
+        assert first is not second
+        assert first._capacity is second._capacity
+        assert first.temperatures()["cpu"] == 30.0
+        assert second.temperatures()["cpu"] == 25.0
+        first.step({"cpu": 3.0}, 0.1)
+        assert second.temperatures()["cpu"] == 25.0

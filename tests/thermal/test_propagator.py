@@ -287,6 +287,41 @@ class TestBatchAdvance:
             propagator.advance(serial, power[row], 0.5)
             np.testing.assert_allclose(batched[row], serial, rtol=0, atol=1e-9)
 
+    @staticmethod
+    def gathered(propagator, temps, power, dt):
+        """The row-major update with gathered columns and GEMM coupling."""
+        phi, psi = propagator.pair(dt)
+        finite = np.flatnonzero(~propagator._boundary_mask)
+        boundary = np.flatnonzero(propagator._boundary_mask)
+        forcing = power[:, finite] + temps[:, boundary] @ propagator._coupling.T
+        out = temps.copy()
+        out[:, finite] = temps[:, finite] @ phi.T + forcing @ psi.T
+        return out
+
+    @pytest.mark.parametrize("boundary_at", [(0,), (2,), (4,), (1, 3)],
+                             ids=["first", "middle", "last", "two"])
+    @pytest.mark.parametrize("layout", ["row-major", "node-major"])
+    def test_matches_the_gathered_update(self, boundary_at, layout):
+        rng = np.random.default_rng(sum(boundary_at))
+        size = 5
+        conductance = rng.uniform(0.1, 2.0, size=(size, size))
+        conductance = np.triu(conductance, 1)
+        conductance += conductance.T
+        capacity = rng.uniform(1.0, 20.0, size=size)
+        boundary = np.isin(np.arange(size), boundary_at)
+        capacity[boundary] = math.inf
+        propagator = ExpmPropagator(conductance, capacity, boundary)
+        for units in (1, 2, 7, 8, 9, 128):
+            temps = rng.uniform(20.0, 80.0, size=(units, size))
+            power = np.where(boundary, 0.0, rng.uniform(0.0, 3.0, size=(units, size)))
+            if layout == "node-major":
+                temps = np.ascontiguousarray(temps.T).T
+                power = np.ascontiguousarray(power.T).T
+            for dt in (0.1, 0.1, 5.0, 0.1):
+                want = self.gathered(propagator, temps, power, dt)
+                propagator.advance_batch(temps, power, dt)
+                assert np.ascontiguousarray(temps).tobytes() == want.tobytes()
+
     def test_boundary_rows_untouched(self):
         propagator = TestCache().make()
         temps = np.array([[80.0, 25.0], [60.0, 31.0]])
