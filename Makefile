@@ -1,6 +1,6 @@
 # Convenience targets; all assume the package is installed (see README).
 
-.PHONY: test check check-update-golden bench bench-fast bench-batch bench-crowd bench-backend bench-ab smoke-telemetry validate calibrate examples all
+.PHONY: test check check-update-golden bench bench-fast bench-batch bench-crowd bench-backend bench-ab smoke-telemetry reach validate calibrate examples all
 
 test:
 	pytest tests/
@@ -55,6 +55,12 @@ bench-ab:
 # asserts advancing /status, parseable /metrics, round-tripping manifest.
 smoke-telemetry:
 	python scripts/telemetry_smoke.py
+
+# Which src functions no command, paper bench, example or perfbench
+# workload enters (a few minutes); writes the never-entered list to
+# reach.json.
+reach:
+	python scripts/reachability.py --out reach.json
 
 validate:
 	repro-bench validate --scale 0.5 --iterations 2 --no-thermabox

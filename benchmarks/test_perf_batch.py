@@ -116,7 +116,11 @@ def _fleet_rate(
     accubench = AccubenchConfig(
         thermal_solver="expm", iterations=1, batch=batch
     ).scaled(scale)
-    runner = CampaignRunner(CampaignConfig(accubench=accubench, jobs=1))
+    # Several models never share a batched THERMABOX run (such a fleet
+    # takes the serial path), so the mixed sweep runs chamber-free.
+    runner = CampaignRunner(
+        CampaignConfig(accubench=accubench, use_thermabox=not mixed, jobs=1)
+    )
     registry = MetricsRegistry(enabled=True)
     devices = _mixed_fleet(count) if mixed else _fleet(count, model)
     label = "+".join(MIXED_MODELS) if mixed else model

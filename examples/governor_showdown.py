@@ -33,18 +33,18 @@ def run(governor_name: str):
 
     world = World(device, dt=0.1, trace_decimation=2)
     device.acquire_wakelock()
-    monsoon.reset_counters()
+    energy_before = monsoon.energy_drawn_j
     for _ in range(CYCLES):
         device.start_load(utilization=1.0)
         device.soc.set_governor(governor)  # start_load reinstalls governors
         world.run_for(BURST_S)
-        # Light phase: the screen-on lull between bursts (typing, reading).
+        # Light phase: the lull between bursts (background sync, polling).
         device.start_load(utilization=LIGHT_UTILIZATION)
         device.soc.set_governor(governor)
         world.run_for(LIGHT_S)
     return {
         "iterations": iterations_from_ops(world.ops_total),
-        "energy_j": monsoon.energy_j,
+        "energy_j": monsoon.energy_drawn_j - energy_before,
         "peak_temp_c": world.trace.max("cpu_temp"),
     }
 

@@ -25,7 +25,6 @@ from repro.core.ambient_estimation import (
     AmbientEstimate,
     cooldown_probe,
     estimate_ambient,
-    estimate_from_trace,
 )
 from repro.core.clustering import ClusterResult, choose_k, kmeans, silhouette_score
 from repro.core.crowd import (
@@ -69,13 +68,7 @@ from repro.core.ranking import RankedUnit, place_unit, quality_score, rank_units
 from repro.core.results import DeviceResult, ExperimentResult, IterationResult
 from repro.core.runner import CampaignConfig, CampaignRunner
 from repro.core.study import Study, run_study
-from repro.core.serialize import (
-    dump_experiment,
-    dumps_experiment,
-    experiment_from_dict,
-    experiment_to_dict,
-    load_experiment,
-)
+from repro.core.serialize import experiment_from_dict, experiment_to_dict
 
 __all__ = [
     "Accubench",
@@ -107,13 +100,10 @@ __all__ = [
     "choose_k",
     "compare_pair",
     "cooldown_probe",
-    "dump_experiment",
-    "dumps_experiment",
     "efficiency_point",
     "efficiency_series",
     "energy_variation",
     "estimate_ambient",
-    "estimate_from_trace",
     "execute_cohort",
     "expected_variation",
     "experiment_from_dict",
@@ -122,7 +112,6 @@ __all__ = [
     "fleet_size_curve",
     "fixed_frequency",
     "kmeans",
-    "load_experiment",
     "normalize",
     "passes_strict_filters",
     "performance_variation",

@@ -23,7 +23,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import AnalysisError
-from repro.sim.trace import Trace
 
 #: Fraction of cooldown samples discarded before fitting (die→package
 #: fast transient).
@@ -37,7 +36,7 @@ MIN_SAMPLES = 8
 #: :mod:`repro.core.crowd_stream`.
 DEFAULT_PROBE_POLL_S = 5.0
 
-#: The field probe's head-skip fraction — more aggressive than the trace
+#: The field probe's head-skip fraction — more aggressive than the plain
 #: fit's :data:`DEFAULT_SKIP_FRACTION` because the probe's observe window
 #: starts right at wakelock release, deep in the die transient.
 DEFAULT_PROBE_SKIP_FRACTION = 0.4
@@ -158,21 +157,3 @@ def cooldown_probe(
         times.append(elapsed)
         temps.append(device.read_cpu_temp())
     return estimate_ambient(times, temps, skip_fraction=skip_fraction)
-
-
-def estimate_from_trace(
-    trace: Trace,
-    occurrence: int = 0,
-    skip_fraction: float = DEFAULT_SKIP_FRACTION,
-) -> AmbientEstimate:
-    """Fit the estimator to a protocol trace's cooldown phase.
-
-    Uses the engine-grid ``cpu_temp`` channel (uniformly sampled), exactly
-    the data a field deployment's 5-second polls would carry.
-    """
-    span = trace.phase("cooldown", occurrence)
-    times = trace.times()
-    mask = (times >= span.start_s) & (times < span.end_s)
-    return estimate_ambient(
-        times[mask], trace.column("cpu_temp")[mask], skip_fraction=skip_fraction
-    )

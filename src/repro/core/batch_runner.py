@@ -16,7 +16,8 @@ same checks as the serial suite.
 
 Eligibility is decided by :func:`batch_ineligibility_reason`; only what
 the batched engine genuinely cannot model (Euler integration, disabled
-sleep fast-forward) falls back to the serial per-unit path.
+sleep fast-forward, several models sharing one THERMABOX run) falls back
+to the serial per-unit path.
 """
 
 from __future__ import annotations
@@ -62,9 +63,10 @@ def batch_ineligibility_reason(
 
     The reasons mirror the assumptions baked into
     :class:`~repro.sim.batch.BatchedWorld`: exact propagation (one
-    (Φ, Ψ) pair per model cohort) and sleep fast-forward cooldowns.
-    Mixed-model fleets, invariant observers, skin throttles and
-    memory-bounded workloads all run batched.
+    (Φ, Ψ) pair per model cohort), sleep fast-forward cooldowns, and a
+    chamber only around a single-model fleet.  Invariant observers, skin
+    throttles, memory-bounded workloads and mixed-model fleets outside a
+    THERMABOX all run batched.
     """
     bench = config.accubench
     if bench.thermal_solver != "expm":
@@ -73,6 +75,8 @@ def batch_ineligibility_reason(
         return "sleep_fast_forward is disabled"
     if not devices:
         return "empty fleet"
+    if config.use_thermabox and len({dev.spec.name for dev in devices}) > 1:
+        return "mixed-model fleet in a THERMABOX"
     if any(not dev.thermal.is_exact for dev in devices):
         return "device thermal network is not exact (expm)"
     return None
@@ -85,29 +89,12 @@ def shard_bounds(fleet: Sequence[Device], jobs: int) -> List[int]:
     (a multi-fleet dispatch never shards: its merged per-model cohorts
     stay whole, see ``CampaignRunner._run_experiments``): at most
     ``jobs`` shards so every worker gets one, each at least
-    :data:`MIN_AUTO_BATCH_UNITS` units.  On a mixed-model fleet the cuts
-    snap to model boundaries — a per-model cohort block split across
-    shards would shrink its GEMM batch on both sides.  Units are never reordered:
-    ``fleet[bounds[i]:bounds[i+1]]`` slices reassemble in fleet order.
+    :data:`MIN_AUTO_BATCH_UNITS` units, whatever the model mix.  Units
+    are never reordered: ``fleet[bounds[i]:bounds[i+1]]`` slices
+    reassemble in fleet order.
     """
     shard_count = max(1, min(jobs, len(fleet) // MIN_AUTO_BATCH_UNITS))
-    bounds = [
-        round(i * len(fleet) / shard_count) for i in range(shard_count + 1)
-    ]
-    changes = [
-        i
-        for i in range(1, len(fleet))
-        if fleet[i].spec.name != fleet[i - 1].spec.name
-    ]
-    if changes:
-        snapped = [0]
-        for cut in bounds[1:-1]:
-            nearest = min(changes, key=lambda boundary: abs(boundary - cut))
-            if nearest > snapped[-1]:
-                snapped.append(nearest)
-        snapped.append(len(fleet))
-        bounds = snapped
-    return bounds
+    return [round(i * len(fleet) / shard_count) for i in range(shard_count + 1)]
 
 
 def run_batch(

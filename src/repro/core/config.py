@@ -63,10 +63,11 @@ class AccubenchConfig:
         automatically when a fleet has at least four eligible units;
         ``True`` batches whenever the fleet is eligible; ``False`` forces
         the serial per-unit path.  The batched engine covers every
-        catalog scenario — mixed-model fleets (per-model cohort blocks),
-        invariant observers, skin throttles and memory-bounded
-        workloads included; only the Euler solver and disabled sleep
-        fast-forward still require the serial path — see
+        catalog scenario — invariant observers, skin throttles,
+        memory-bounded workloads and mixed-model fleets (per-model
+        cohort blocks) included; only the Euler solver, disabled sleep
+        fast-forward and several models sharing a THERMABOX run still
+        require the serial path — see
         :func:`repro.core.batch_runner.batch_ineligibility_reason`.
     utilization:
         Per-core CPU utilization of the benchmark load, in (0, 1].

@@ -53,11 +53,6 @@ class ExperimentSpec:
                 f"{UNCONSTRAINED!r} or {FIXED_FREQUENCY!r}"
             )
 
-    @property
-    def is_unconstrained(self) -> bool:
-        """True for the performance-variation workload."""
-        return self.name == UNCONSTRAINED
-
 
 def unconstrained() -> ExperimentSpec:
     """The performance-variation experiment."""

@@ -8,7 +8,7 @@ series.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Mapping, Sequence, Tuple
 
 from repro.core.analysis import normalize
 from repro.core.efficiency import EfficiencyPoint
@@ -87,13 +87,3 @@ def render_efficiency(points: Sequence[EfficiencyPoint], width: int = 40) -> str
             f"  {point.soc:<8s} {point.mean_iters_per_kj:7.1f} {bar}"
         )
     return "\n".join(lines)
-
-
-def render_variation_summary(
-    perf: ExperimentResult, energy: ExperimentResult
-) -> Dict[str, float]:
-    """The two headline numbers of one model, as a dict for reports."""
-    return {
-        "performance_variation": perf.performance_variation,
-        "energy_variation": energy.energy_variation,
-    }

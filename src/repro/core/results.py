@@ -93,11 +93,6 @@ class DeviceResult:
         return _mean([it.energy_j for it in self.iterations])
 
     @property
-    def energy_rsd(self) -> float:
-        """Relative standard deviation of the workload energy."""
-        return relative_standard_deviation([it.energy_j for it in self.iterations])
-
-    @property
     def mean_freq_mhz(self) -> float:
         """Mean of per-iteration mean frequencies, MHz."""
         return _mean([it.mean_freq_mhz for it in self.iterations])

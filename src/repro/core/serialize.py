@@ -8,8 +8,7 @@ reproducible from the config + seed); everything else round-trips exactly.
 
 from __future__ import annotations
 
-import json
-from typing import Any, Dict, IO, Union
+from typing import Any, Dict
 
 from repro.core.results import DeviceResult, ExperimentResult, IterationResult
 from repro.errors import AnalysisError
@@ -117,24 +116,3 @@ def experiment_from_dict(data: Dict[str, Any]) -> ExperimentResult:
         )
     except KeyError as missing:
         raise AnalysisError(f"experiment document missing field {missing}") from None
-
-
-def dump_experiment(result: ExperimentResult, fp: IO[str], indent: int = 2) -> None:
-    """Write one experiment result as JSON."""
-    json.dump(experiment_to_dict(result), fp, indent=indent)
-
-
-def dumps_experiment(result: ExperimentResult, indent: int = 2) -> str:
-    """One experiment result as a JSON string."""
-    return json.dumps(experiment_to_dict(result), indent=indent)
-
-
-def load_experiment(source: Union[str, IO[str]]) -> ExperimentResult:
-    """Read an experiment result from a JSON string or file object."""
-    if isinstance(source, str):
-        data = json.loads(source)
-    else:
-        data = json.load(source)
-    if not isinstance(data, dict):
-        raise AnalysisError("experiment document must be a JSON object")
-    return experiment_from_dict(data)

@@ -348,13 +348,6 @@ class BinRecoveryCounter:
             for index in sorted(self._moments)
         }
 
-    def mean_scores(self) -> Dict[int, float]:
-        """Mean score per bin, keyed by bin index."""
-        return {
-            index: self._moments[index].mean
-            for index in sorted(self._moments)
-        }
-
     def ordering_quality(self) -> Optional[float]:
         """Spearman's ρ between bin index and per-bin mean score.
 

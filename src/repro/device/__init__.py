@@ -8,7 +8,6 @@ handsets; the fleet module instantiates the paper's specific units.
 
 from repro.device.aging import BatteryAge, aged_battery, throttle_onset_soc
 from repro.device.battery import Battery, BatterySpec
-from repro.device.display import Display, DisplaySpec
 from repro.device.catalog import (
     DEVICE_NAMES,
     DeviceSpec,
@@ -32,8 +31,6 @@ __all__ = [
     "BatterySpec",
     "DEVICE_NAMES",
     "Device",
-    "Display",
-    "DisplaySpec",
     "DeviceSpec",
     "FleetUnit",
     "OsBehavior",

@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.device.battery import Battery
 from repro.device.catalog import DeviceSpec
-from repro.device.display import Display
 from repro.device.os_model import OsBehavior
 from repro.device.power_rails import PowerSupply
 from repro.errors import ConfigurationError
@@ -115,8 +114,6 @@ class Device:
         self.skin_throttle = (
             spec.skin_throttle.build() if spec.skin_throttle is not None else None
         )
-        #: The panel — off by default, exactly as the methodology requires.
-        self.display = Display()
         self._now_s = 0.0
         self._load_active = False
         self._load_utilization = 1.0
@@ -215,7 +212,6 @@ class Device:
         die_temp = thermal.temperature_at(self._idx_cpu)
         asleep = self.is_asleep
 
-        display_w = 0.0
         if asleep:
             soc_power = 0.0
             ops = 0.0
@@ -230,22 +226,20 @@ class Device:
                 )
             soc_power, ops = soc.step(die_temp, now_s, dt)
             ops *= 1.0 - os_state.steal_frac(now_s)
-            display_w = self.display.power_w()
             load_w = (
                 soc_power
-                + display_w
                 + self.spec.rails.awake_idle_w
                 + os_state.background_noise_w()
             )
 
         supply_power = self.spec.rails.supply_power_w(load_w)
         current = self.supply.draw(supply_power, dt)
-        # CPU power dissipates in the die; the panel heats the front of the
-        # case; regulator losses and platform power land on the board (pkg).
+        # CPU power dissipates in the die; regulator losses and platform
+        # power land on the board (pkg).  Nothing is injected at the case
+        # (the display is off, per the methodology), so its entry stays 0.
         power_vec = self._thermal_power
         power_vec[self._idx_cpu] = soc_power
-        power_vec[self._idx_case] = display_w
-        power_vec[self._idx_pkg] = supply_power - soc_power - display_w
+        power_vec[self._idx_pkg] = supply_power - soc_power
         thermal.step_vector(power_vec, dt)
         self._now_s = now_s = now_s + dt
         # Positional, in field order: half the cost of keyword arguments.

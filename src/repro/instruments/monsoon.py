@@ -1,7 +1,7 @@
 """Monsoon power monitor model.
 
 The Monsoon replaces the phone's battery: it supplies a configured voltage
-on the main channel and samples the drawn current at 5 kHz.  Powering the
+on the main channel and meters the energy the device draws.  Powering the
 device this way removes battery state as a variance source (Section III) —
 and, on the LG G5, *created* the paper's Figure 10 anomaly, because the OS
 throttles on input voltage and the battery's printed nominal 3.85 V is far
@@ -14,12 +14,7 @@ exact, not an approximation).
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
 from repro.errors import InstrumentError
-
-#: Monsoon main-channel sampling rate, Hz (for reported sample counts).
-SAMPLE_RATE_HZ = 5000.0
 
 #: Main channel output range of the real instrument, volts.
 MIN_OUTPUT_V = 2.01
@@ -27,27 +22,18 @@ MAX_OUTPUT_V = 4.55
 
 
 class MonsoonPowerMonitor:
-    """A Monsoon main channel: voltage source + current/energy meter."""
+    """A Monsoon main channel: voltage source + energy meter."""
 
-    def __init__(self, output_voltage_v: float, record_samples: bool = False) -> None:
+    def __init__(self, output_voltage_v: float) -> None:
         self._voltage = 0.0
         self.set_voltage(output_voltage_v)
-        self._record = record_samples
-        self._samples: List[Tuple[float, float]] = []
-        self._elapsed_s = 0.0
-        self._energy_j = 0.0
         self._energy_total_j = 0.0
-        self._charge_c = 0.0
-        self._peak_current_a = 0.0
-        self._enabled = True
 
     # -- supply interface (what the device sees) ------------------------
 
     @property
     def output_voltage_v(self) -> float:
         """Voltage presented on the main channel, volts."""
-        if not self._enabled:
-            raise InstrumentError("Monsoon output is disabled")
         return self._voltage
 
     def draw(self, power_w: float, dt: float) -> float:
@@ -55,21 +41,22 @@ class MonsoonPowerMonitor:
 
         Returns the sampled current in amperes.
         """
-        if not self._enabled:
-            raise InstrumentError("cannot draw from a disabled Monsoon output")
         if power_w < 0:
             raise InstrumentError("drawn power must be non-negative")
         if dt <= 0:
             raise InstrumentError("dt must be positive")
-        current = power_w / self._voltage
-        self._elapsed_s += dt
-        self._energy_j += power_w * dt
         self._energy_total_j += power_w * dt
-        self._charge_c += current * dt
-        self._peak_current_a = max(self._peak_current_a, current)
-        if self._record:
-            self._samples.append((self._elapsed_s, current))
-        return current
+        return power_w / self._voltage
+
+    @property
+    def energy_drawn_j(self) -> float:
+        """Total energy delivered since construction (never reset), joules.
+
+        This is the metering interface shared with
+        :class:`~repro.device.battery.Battery`: the protocol meters a
+        window as the difference of two readings.
+        """
+        return self._energy_total_j
 
     # -- operator interface (what the experimenter uses) ----------------
 
@@ -81,74 +68,3 @@ class MonsoonPowerMonitor:
                 f"[{MIN_OUTPUT_V}, {MAX_OUTPUT_V}] V range"
             )
         self._voltage = output_voltage_v
-
-    def disable_output(self) -> None:
-        """Cut power to the device."""
-        self._enabled = False
-
-    def enable_output(self) -> None:
-        """Restore power to the device."""
-        self._enabled = True
-
-    def reset_counters(self) -> None:
-        """Zero the integrators (start of a measurement window)."""
-        self._elapsed_s = 0.0
-        self._energy_j = 0.0
-        self._charge_c = 0.0
-        self._peak_current_a = 0.0
-        self._samples.clear()
-
-    @property
-    def elapsed_s(self) -> float:
-        """Measurement window length so far, seconds."""
-        return self._elapsed_s
-
-    @property
-    def energy_j(self) -> float:
-        """Energy delivered in the current window, joules."""
-        return self._energy_j
-
-    @property
-    def energy_drawn_j(self) -> float:
-        """Total energy delivered since construction (never reset), joules.
-
-        This is the metering interface shared with
-        :class:`~repro.device.battery.Battery`; window counters above are
-        Monsoon-specific conveniences.
-        """
-        return self._energy_total_j
-
-    @property
-    def charge_c(self) -> float:
-        """Charge delivered in the current window, coulombs."""
-        return self._charge_c
-
-    @property
-    def mean_power_w(self) -> float:
-        """Mean power over the current window, watts."""
-        if self._elapsed_s == 0.0:
-            raise InstrumentError("no samples in the current window")
-        return self._energy_j / self._elapsed_s
-
-    @property
-    def mean_current_a(self) -> float:
-        """Mean current over the current window, amperes."""
-        if self._elapsed_s == 0.0:
-            raise InstrumentError("no samples in the current window")
-        return self._charge_c / self._elapsed_s
-
-    @property
-    def peak_current_a(self) -> float:
-        """Largest current sample in the current window, amperes."""
-        return self._peak_current_a
-
-    @property
-    def nominal_sample_count(self) -> int:
-        """Samples the real instrument would have taken at 5 kHz."""
-        return int(self._elapsed_s * SAMPLE_RATE_HZ)
-
-    def samples(self) -> List[Tuple[float, float]]:
-        """Recorded (time, current) samples, if recording was enabled."""
-        if not self._record:
-            raise InstrumentError("sample recording was not enabled")
-        return list(self._samples)

@@ -106,11 +106,6 @@ class Thermabox:
         return self._air_c
 
     @property
-    def heater_on(self) -> bool:
-        """Whether the halogen lamp is currently powered."""
-        return self._heater_on
-
-    @property
     def cooler_on(self) -> bool:
         """Whether the compressor is currently powered."""
         return self._cooler_on
@@ -130,10 +125,6 @@ class Thermabox:
         """Total chamber time simulated so far, seconds — the denominator
         for actuator duty cycles."""
         return self._time_s
-
-    def probe_reading_c(self) -> float:
-        """What the controller's thermistor currently reads, °C."""
-        return self._probe.read()
 
     def is_within_band(self) -> bool:
         """True if the true air temperature is inside target ± tolerance."""

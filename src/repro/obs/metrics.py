@@ -98,11 +98,6 @@ class Histogram:
         self.sum += value
         self.count += 1
 
-    @property
-    def mean(self) -> float:
-        """Mean of all observations (0.0 before the first)."""
-        return self.sum / self.count if self.count else 0.0
-
 
 class _NullCounter(Counter):
     """Disabled-registry counter: accepts increments, keeps nothing."""
@@ -274,14 +269,6 @@ class MetricsRegistry:
             merged.count += payload["count"]
         for payload in document.get("spans", []):
             self._spans.append(Span.from_dict(payload))
-
-    def clear(self) -> None:
-        """Drop everything recorded (open spans included)."""
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
-        self._spans.clear()
-        self._open.clear()
 
 
 #: The process's default sink.  Disabled out of the box: a run pays for

@@ -57,11 +57,6 @@ def derive_stream(root_seed: int, *keys: StreamKey) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
-def derive_seed(root_seed: int, *keys: StreamKey) -> int:
-    """Return a stable derived integer seed for (root_seed, \\*keys)."""
-    return int(derive_stream(root_seed, *keys).integers(0, 2**63 - 1))
-
-
 class NormalBlocks:
     """Each row's upcoming standard normals, drawn a block at a time.
 

@@ -6,13 +6,7 @@ dynamic switching power, and the speed/voltage binning procedures
 manufacturers use to paper over the variation (Section II of the paper).
 """
 
-from repro.silicon.binning import (
-    BinningOutcome,
-    SpeedBinner,
-    VoltageBinner,
-    required_voltage,
-    spread_profiles,
-)
+from repro.silicon.binning import VoltageBinner, required_voltage
 from repro.silicon.dynamic import DynamicPowerModel
 from repro.silicon.leakage import LeakageModel
 from repro.silicon.process import (
@@ -20,7 +14,6 @@ from repro.silicon.process import (
     PROCESS_20NM_PLANAR,
     PROCESS_28NM_LP,
     ProcessNode,
-    process_node,
 )
 from repro.silicon.transistor import SiliconProfile
 from repro.silicon.variation import VariationSampler
@@ -33,7 +26,6 @@ from repro.silicon.vf_tables import (
 )
 
 __all__ = [
-    "BinningOutcome",
     "DynamicPowerModel",
     "LeakageModel",
     "NEXUS5_BIN_COUNT",
@@ -43,13 +35,10 @@ __all__ = [
     "PROCESS_28NM_LP",
     "ProcessNode",
     "SiliconProfile",
-    "SpeedBinner",
     "VariationSampler",
     "VoltageBinner",
     "VoltageFrequencyTable",
     "nexus5_table",
-    "process_node",
     "required_voltage",
     "single_bin_table",
-    "spread_profiles",
 ]

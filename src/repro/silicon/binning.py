@@ -1,20 +1,19 @@
-"""Speed and voltage binning (paper Section II, Zolotov et al. [8]).
+"""Voltage binning (paper Section II, Zolotov et al. [8]).
 
-*Speed binning* labels chips by the top frequency they pass timing at and
-sells them at matching price points — the desktop-CPU strategy.
-
-*Voltage binning* — what the smartphone market uses — fixes the frequency
-ladder for every chip and adjusts each bin's supply voltage instead: slow
-(low-leakage) silicon is binned at higher voltage to reach the shared
-frequencies; fast (leaky) silicon is binned at lower voltage to rein in its
-leakage.  The result looks identical on a spec sheet but hides the energy
-and thermal differences the paper quantifies.
+Desktop CPUs are *speed binned*: labelled by the top frequency they pass
+timing at and sold at matching price points.  *Voltage binning* — what the
+smartphone market uses — fixes the frequency ladder for every chip and
+adjusts each bin's supply voltage instead: slow (low-leakage) silicon is
+binned at higher voltage to reach the shared frequencies; fast (leaky)
+silicon is binned at lower voltage to rein in its leakage.  The result
+looks identical on a spec sheet but hides the energy and thermal
+differences the paper quantifies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from repro.errors import ConfigurationError
 from repro.silicon.process import ProcessNode
@@ -42,23 +41,6 @@ def required_voltage(
             f"vth_delta={vth_delta} drives required voltage non-positive"
         )
     return voltage
-
-
-@dataclass(frozen=True)
-class BinningOutcome:
-    """Result of binning one die.
-
-    Attributes
-    ----------
-    bin_index:
-        Assigned bin.  For voltage binning, bin 0 is the slowest silicon
-        (highest voltage); higher bins are faster and leakier.
-    profile:
-        The die that was binned.
-    """
-
-    bin_index: int
-    profile: SiliconProfile
 
 
 @dataclass(frozen=True)
@@ -132,15 +114,6 @@ class VoltageBinner:
         step = 2.0 * span / self.bin_count
         return tuple(span - i * step for i in range(self.bin_count + 1))
 
-    def assign_bin(self, profile: SiliconProfile) -> BinningOutcome:
-        """Assign a die to its voltage bin (clamping out-of-span dies)."""
-        edges = self._bin_edges_vth()
-        for bin_index in range(self.bin_count):
-            # Edges run high→low: bin i covers (edges[i+1], edges[i]].
-            if profile.vth_delta > edges[bin_index + 1]:
-                return BinningOutcome(bin_index=bin_index, profile=profile)
-        return BinningOutcome(bin_index=self.bin_count - 1, profile=profile)
-
     def table(self) -> VoltageFrequencyTable:
         """Generate the per-bin voltage table this binner would publish."""
         edges = self._bin_edges_vth()
@@ -168,56 +141,6 @@ class VoltageBinner:
             frequencies_mhz=self.frequencies_mhz,
             voltages_mv=tuple(monotonic_rows),
         )
-
-
-@dataclass(frozen=True)
-class SpeedBinner:
-    """Speed binning: label dies by the highest ladder frequency they pass.
-
-    Attributes
-    ----------
-    frequencies_mhz:
-        Candidate top frequencies, strictly increasing, MHz.
-    nominal_top_mhz:
-        Frequency a nominal die passes at nominal voltage, MHz.
-    """
-
-    frequencies_mhz: Tuple[float, ...]
-    nominal_top_mhz: float
-
-    def __post_init__(self) -> None:
-        if not self.frequencies_mhz:
-            raise ConfigurationError("at least one candidate frequency required")
-        if any(
-            later <= earlier
-            for earlier, later in zip(self.frequencies_mhz, self.frequencies_mhz[1:])
-        ):
-            raise ConfigurationError("frequencies must be strictly increasing")
-        if self.nominal_top_mhz <= 0:
-            raise ConfigurationError("nominal_top_mhz must be positive")
-
-    def max_stable_mhz(self, profile: SiliconProfile) -> float:
-        """The physical top frequency this die can sustain, MHz."""
-        return self.nominal_top_mhz * profile.speed_factor
-
-    def assign_bin(self, profile: SiliconProfile) -> BinningOutcome:
-        """Label a die with the highest ladder frequency it passes.
-
-        Bin index counts from 0 = the *lowest* ladder frequency, matching
-        price-tier ordering.  Dies too slow even for the bottom rung are
-        still assigned bin 0 (shipped underclocked) — real fabs scrap them,
-        but scrapping is a yield decision outside this model.
-        """
-        capability = self.max_stable_mhz(profile)
-        bin_index = 0
-        for index, freq in enumerate(self.frequencies_mhz):
-            if capability >= freq:
-                bin_index = index
-        return BinningOutcome(bin_index=bin_index, profile=profile)
-
-    def binned_frequency_mhz(self, profile: SiliconProfile) -> float:
-        """The ladder frequency the die is sold at, MHz."""
-        return self.frequencies_mhz[self.assign_bin(profile).bin_index]
 
 
 def bin_slice_vth(
@@ -279,23 +202,3 @@ def bin_profile(
     """A die at a fractional position inside one voltage bin."""
     vth = bin_slice_vth(process, bin_count, bin_index, fraction, span_sigma)
     return SiliconProfile.from_vth_delta(process, vth)
-
-
-def spread_profiles(
-    process: ProcessNode, bin_indices: Sequence[int], binner: VoltageBinner
-) -> Tuple[SiliconProfile, ...]:
-    """Representative silicon for given bins (each bin's slice midpoint).
-
-    Convenience used by fleet builders: "give me a bin-0 chip and a bin-3
-    chip" without sampling until the right bins appear.
-    """
-    edges = binner._bin_edges_vth()
-    profiles = []
-    for bin_index in bin_indices:
-        if not 0 <= bin_index < binner.bin_count:
-            raise ConfigurationError(
-                f"bin index {bin_index} out of range [0, {binner.bin_count})"
-            )
-        midpoint = 0.5 * (edges[bin_index] + edges[bin_index + 1])
-        profiles.append(SiliconProfile.from_vth_delta(process, midpoint))
-    return tuple(profiles)

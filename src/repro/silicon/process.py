@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ConfigurationError, UnknownModelError
+from repro.errors import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -115,19 +115,3 @@ PROCESS_14NM_FINFET = ProcessNode(
     speed_per_vth=2.0,
     volt_per_vth=2.4,
 )
-
-_NODES = {
-    node.name: node
-    for node in (PROCESS_28NM_LP, PROCESS_20NM_PLANAR, PROCESS_14NM_FINFET)
-}
-
-
-def process_node(name: str) -> ProcessNode:
-    """Look up a process node by name.
-
-    Raises :class:`~repro.errors.UnknownModelError` for unknown names.
-    """
-    try:
-        return _NODES[name]
-    except KeyError:
-        raise UnknownModelError("process", name, tuple(sorted(_NODES))) from None

@@ -61,7 +61,3 @@ class SiliconProfile:
             )
         leak = math.exp(-process.leak_vth_slope * vth_delta)
         return cls(vth_delta=vth_delta, speed_factor=speed, leak_factor=leak)
-
-    def is_faster_than(self, other: "SiliconProfile") -> bool:
-        """True if this die achieves higher speed at equal voltage."""
-        return self.speed_factor > other.speed_factor

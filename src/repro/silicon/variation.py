@@ -9,7 +9,6 @@ silicon — the simulator's analogue of "the phone you actually bought".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 from repro.errors import ConfigurationError
 from repro.rng import DEFAULT_ROOT_SEED, derive_stream
@@ -45,12 +44,6 @@ class VariationSampler:
         delta = float(rng.normal(0.0, sigma))
         delta = max(-MAX_SIGMA * sigma, min(MAX_SIGMA * sigma, delta))
         return SiliconProfile.from_vth_delta(self.process, delta)
-
-    def sample_lot(self, lot_name: str, count: int) -> List[SiliconProfile]:
-        """Sample ``count`` dies from a named manufacturing lot."""
-        if count < 0:
-            raise ConfigurationError("count must be non-negative")
-        return [self.sample(lot_name, f"die-{index}") for index in range(count)]
 
     def from_percentile(self, percentile: float) -> SiliconProfile:
         """Return the die at a given V_th percentile (0 = slowest, 100 = fastest).

@@ -13,7 +13,7 @@ Nexus 5 (SD-800) voltages, in millivolts, extracted from kernel sources.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.units import mv_to_v
@@ -87,11 +87,6 @@ class VoltageFrequencyTable:
         """Number of bins in the table."""
         return len(self.voltages_mv)
 
-    @property
-    def max_frequency_mhz(self) -> float:
-        """Top of the frequency ladder, MHz."""
-        return self.frequencies_mhz[-1]
-
     def voltage_mv(self, bin_index: int, freq_mhz: float) -> float:
         """Supply voltage in millivolts for a bin at a frequency.
 
@@ -127,13 +122,6 @@ class VoltageFrequencyTable:
                 f"bin_index {bin_index} out of range [0, {self.bin_count})"
             )
         return self.voltages_mv[bin_index]
-
-    def as_dict(self) -> Dict[int, Dict[float, float]]:
-        """Return ``{bin: {freq_mhz: voltage_mv}}`` for reporting."""
-        return {
-            bin_index: dict(zip(self.frequencies_mhz, row))
-            for bin_index, row in enumerate(self.voltages_mv)
-        }
 
 
 def nexus5_table() -> VoltageFrequencyTable:

@@ -398,7 +398,6 @@ class _CohortWorld:
             self._bat_last_load = np.array(
                 [dev.supply._last_load_w for dev in devices]
             )
-            self._voltage = None
             self._external_mhz = None
             throttle = reference.os.voltage_throttle
             self._vt_threshold = (
@@ -408,27 +407,16 @@ class _CohortWorld:
                 throttle.ceiling_mhz if throttle is not None else None
             )
             self._capped = np.zeros(count, dtype=bool)
-            self._elapsed = np.zeros(count)
-            self._energy_win = np.zeros(count)
-            self._charge = np.zeros(count)
-            self._peak = np.zeros(count)
         else:
             voltages = {dev.supply.output_voltage_v for dev in devices}
             if len(voltages) != 1:
                 raise SimulationError(
                     "batched units must share one supply voltage"
                 )
-            self._voltage = voltages.pop()
-            self._external_mhz = reference.os.cpu_ceiling_mhz(self._voltage)
+            self._external_mhz = reference.os.cpu_ceiling_mhz(voltages.pop())
             self._vt_threshold = None
             self._vt_ceiling = None
             self._capped = np.zeros(count, dtype=bool)
-            self._elapsed = np.array([dev.supply.elapsed_s for dev in devices])
-            self._energy_win = np.array([dev.supply.energy_j for dev in devices])
-            self._charge = np.array([dev.supply.charge_c for dev in devices])
-            self._peak = np.array(
-                [dev.supply.peak_current_a for dev in devices]
-            )
 
         self._rbcpr = reference.soc.rbcpr
         if self._rbcpr is not None:
@@ -525,11 +513,6 @@ class _CohortWorld:
     def count(self) -> int:
         """Number of units in the batch."""
         return self._count
-
-    @property
-    def dt(self) -> float:
-        """Engine step, seconds."""
-        return self._dt
 
     @property
     def ops_total(self) -> np.ndarray:
@@ -811,11 +794,7 @@ class _CohortWorld:
                 supply._last_load_w = float(self._bat_last_load[i])
                 supply._energy_drawn_j = float(self._energy_total[i])
             else:
-                supply._elapsed_s = float(self._elapsed[i])
-                supply._energy_j = float(self._energy_win[i])
                 supply._energy_total_j = float(self._energy_total[i])
-                supply._charge_c = float(self._charge[i])
-                supply._peak_current_a = float(self._peak[i])
 
     # -- internals ----------------------------------------------------------
 
@@ -1286,13 +1265,7 @@ class _CohortWorld:
         if self._battery_mode:
             self._battery_draw_awake(supply, dt)
         else:
-            current = supply / self._voltage
-            self._elapsed += dt
-            energy = supply * dt
-            self._energy_win += energy
-            self._energy_total += energy
-            self._charge += current * dt
-            np.maximum(self._peak, current, out=self._peak)
+            self._energy_total += supply * dt
         power = self._power_buf
         power[:, self._idx_cpu] = soc_power
         np.subtract(supply, soc_power, out=power[:, self._idx_pkg])
@@ -1367,13 +1340,7 @@ class _CohortWorld:
         if self._battery_mode:
             self._battery_draw_masked(sel, supply, duration)
         else:
-            current = supply / self._voltage
-            self._elapsed[sel] += duration
-            energy = supply * duration
-            self._energy_win[sel] += energy
-            self._energy_total[sel] += energy
-            self._charge[sel] += current * duration
-            self._peak[sel] = np.maximum(self._peak[sel], current)
+            self._energy_total[sel] += supply * duration
         if everyone:
             self._propagator.advance_batch(temps, self._asleep_power, duration)
         else:
@@ -1537,78 +1504,6 @@ class _CohortWorld:
         return logs
 
 
-class _ChamberView:
-    """A cohort's private slice of a fleet-wide :class:`BatchedThermabox`.
-
-    Chamber columns are fully independent — every update is elementwise
-    per column — so the cohort's columns are detached into a narrow
-    chamber at construction (each state array sliced out of the parent)
-    and stepped at cohort width.  That is bit-identical to driving the
-    cohort's columns through the parent's masked updates, but avoids
-    paying full-fleet-width chamber math once per cohort per step.
-    :meth:`writeback` scatters the final column state into the parent so
-    post-run consumers (duty-cycle counters, elapsed time) see the whole
-    fleet in one place again.
-    """
-
-    __slots__ = ("_parent", "_indices", "_box")
-
-    _STATE = (
-        "_air",
-        "_element",
-        "_time",
-        "_next_control",
-        "_heater",
-        "_cooler",
-        "_off_since",
-        "_heater_seconds",
-        "_cooler_seconds",
-    )
-
-    def __init__(self, parent: BatchedThermabox, indices: np.ndarray) -> None:
-        self._parent = parent
-        self._indices = indices
-        box = BatchedThermabox(parent.config, count=int(indices.size))
-        for name in self._STATE:
-            setattr(box, name, getattr(parent, name)[indices])
-        box._time_max = float(box._time.max())
-        box._next_control_min = float(box._next_control.min())
-        box._any_heater = bool(box._heater.any())
-        box._any_cooler = bool(box._cooler.any())
-        self._box = box
-
-    @property
-    def count(self) -> int:
-        return self._box.count
-
-    @property
-    def air_temps_c(self) -> np.ndarray:
-        return self._box.air_temps_c
-
-    def step_masked(
-        self, mask: np.ndarray, room_temp_c: float, dt: float, load_w: np.ndarray
-    ) -> None:
-        self._box.step_masked(mask, room_temp_c, dt, load_w)
-
-    def run_for_masked(
-        self,
-        mask: np.ndarray,
-        room_temp_c: float,
-        duration_s: float,
-        load_w: np.ndarray,
-    ) -> None:
-        self._box.run_for_masked(mask, room_temp_c, duration_s, load_w)
-
-    def writeback(self) -> None:
-        parent = self._parent
-        for name in self._STATE:
-            getattr(parent, name)[self._indices] = getattr(self._box, name)
-        parent._time_max = max(parent._time_max, self._box._time_max)
-        parent._next_control_min = float(parent._next_control.min())
-        parent._any_heater = bool(parent._heater.any())
-        parent._any_cooler = bool(parent._cooler.any())
-
-
 class BatchedWorld:
     """A whole fleet — mixed device models included — advanced in lock-step.
 
@@ -1622,8 +1517,10 @@ class BatchedWorld:
     summation budget of ``BATCH_SPEC``) for any model mix.
 
     A homogeneous fleet builds exactly one cohort and passes the chamber
-    straight through; a mixed fleet hands each cohort a
-    :class:`_ChamberView` over its own chamber columns.
+    straight through.  A mixed fleet runs without a chamber: no campaign
+    puts several models in one THERMABOX batch (the runner's
+    ``batch_ineligibility_reason`` sends such a fleet down the serial
+    path), so handing one a chamber raises :class:`SimulationError`.
 
     ``labels`` names each unit in invariant diagnostics (default: its
     serial).  The campaign runner adds each unit's workload, since a
@@ -1652,7 +1549,6 @@ class BatchedWorld:
         for i, dev in enumerate(devices):
             groups.setdefault(dev.spec.name, []).append(i)
         self._cohorts: List[tuple] = []
-        self._chamber_views: List[_ChamberView] = []
         if len(groups) == 1:
             indices = np.arange(count)
             self._cohorts.append(
@@ -1675,27 +1571,22 @@ class BatchedWorld:
                 raise SimulationError(
                     "room_temp_c array must have one entry per unit"
                 )
-            if chamber is not None and chamber.count != count:
+            if chamber is not None:
                 raise SimulationError(
-                    "chamber column count must match unit count"
+                    "a mixed-model fleet cannot share a chamber in a batched "
+                    "world; run it on the serial path"
                 )
             for indices_list in groups.values():
                 indices = np.array(indices_list)
                 cohort_room = (
                     float(room) if room.ndim == 0 else room[indices]
                 )
-                cohort_chamber = (
-                    _ChamberView(chamber, indices) if chamber is not None else None
-                )
-                if cohort_chamber is not None:
-                    self._chamber_views.append(cohort_chamber)
                 self._cohorts.append(
                     (
                         indices,
                         _CohortWorld(
                             [self.devices[i] for i in indices_list],
                             cohort_room,
-                            chamber=cohort_chamber,
                             dt=dt,
                             trace_decimation=trace_decimation,
                             check_invariants=check_invariants,
@@ -1729,11 +1620,6 @@ class BatchedWorld:
     def count(self) -> int:
         """Number of units in the batch."""
         return self._count
-
-    @property
-    def dt(self) -> float:
-        """Engine step, seconds."""
-        return self._dt
 
     @property
     def traces(self) -> List[Trace]:
@@ -1842,9 +1728,9 @@ class BatchedWorld:
     def run_for(self, duration_s: float) -> None:
         """Advance every unit, awake, for a fixed duration.
 
-        Cohorts run sequentially — units never interact and chamber
-        columns are independent, so block order cannot change any unit's
-        trajectory.
+        Cohorts run sequentially — units never interact (only a
+        single-model world has a chamber), so block order cannot change
+        any unit's trajectory.
         """
         for _, world in self._cohorts:
             world.run_for(duration_s)
@@ -1874,5 +1760,3 @@ class BatchedWorld:
         """Write the batched state back into the per-unit Device objects."""
         for _, world in self._cohorts:
             world.finalize()
-        for view in self._chamber_views:
-            view.writeback()

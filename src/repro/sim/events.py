@@ -9,7 +9,7 @@ down" annotation is an event; the temperature curve around it is a trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Tuple
+from typing import Any, Iterator, List, Tuple
 
 
 @dataclass(frozen=True)
@@ -37,28 +37,6 @@ class Event:
                 return value
         return default
 
-    def to_dict(self) -> Dict[str, Any]:
-        """A JSON-serializable form of this event (the JSONL exporter's
-        line payload)."""
-        return {
-            "time_s": self.time_s,
-            "kind": self.kind,
-            "detail": dict(self.detail),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "Event":
-        """Rebuild an event from :meth:`to_dict` output.
-
-        Detail keys are re-sorted, matching how :meth:`EventLog.log`
-        normalizes them — so the round-trip is exact.
-        """
-        return cls(
-            time_s=payload["time_s"],
-            kind=payload["kind"],
-            detail=tuple(sorted(payload.get("detail", {}).items())),
-        )
-
 
 class EventLog:
     """Append-only, time-ordered event log."""
@@ -78,24 +56,6 @@ class EventLog:
         self._events.append(event)
         return event
 
-    def of_kind(self, kind: str) -> List[Event]:
-        """All events of one category, in time order."""
-        return [event for event in self._events if event.kind == kind]
-
     def count(self, kind: str) -> int:
         """Number of events of one category."""
         return sum(1 for event in self._events if event.kind == kind)
-
-    def first(self, kind: str) -> Event:
-        """The earliest event of a category.
-
-        Raises :class:`IndexError` if none was logged.
-        """
-        return self.of_kind(kind)[0]
-
-    def kinds(self) -> Dict[str, int]:
-        """Histogram of event categories."""
-        histogram: Dict[str, int] = {}
-        for event in self._events:
-            histogram[event.kind] = histogram.get(event.kind, 0) + 1
-        return histogram

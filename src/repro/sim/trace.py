@@ -274,53 +274,12 @@ class Trace:
 
     # -- summaries ------------------------------------------------------
 
-    def mean(self, channel: str) -> float:
-        """Mean of a channel over the whole trace."""
-        column = self.column(channel)
-        if column.size == 0:
-            raise AnalysisError("trace is empty")
-        return float(column.mean())
-
     def max(self, channel: str) -> float:
         """Maximum of a channel over the whole trace."""
         column = self.column(channel)
         if column.size == 0:
             raise AnalysisError("trace is empty")
         return float(column.max())
-
-    def min(self, channel: str) -> float:
-        """Minimum of a channel over the whole trace."""
-        column = self.column(channel)
-        if column.size == 0:
-            raise AnalysisError("trace is empty")
-        return float(column.min())
-
-    def time_above(self, channel: str, threshold: float) -> float:
-        """Total time a channel spends at or above a threshold, seconds.
-
-        Section IV-B's "time spent at temperature" metric.  Each sample
-        owns the interval up to the next sample (the last sample reuses the
-        preceding spacing), so phase gaps and non-uniform decimation are
-        weighted by the actual timestamps instead of assuming the spacing
-        of the first two samples holds throughout.
-        """
-        times = self.times()
-        if times.size < 2:
-            return 0.0
-        deltas = np.empty(times.size)
-        np.subtract(times[1:], times[:-1], out=deltas[:-1])
-        deltas[-1] = deltas[-2]
-        above = self.column(channel) >= threshold
-        return float(deltas[above].sum())
-
-    def histogram(
-        self, channel: str, bins: int = 20
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Histogram of a channel (counts, bin edges) — Figures 11/12."""
-        column = self.column(channel)
-        if column.size == 0:
-            raise AnalysisError("trace is empty")
-        return np.histogram(column, bins=bins)
 
     # -- internals ------------------------------------------------------
 

@@ -43,8 +43,3 @@ class CoreState:
         if not 0.0 <= utilization <= 1.0:
             raise ConfigurationError("utilization must be within [0, 1]")
         self.utilization = utilization
-
-    @property
-    def active_utilization(self) -> float:
-        """Utilization that actually burns power (zero when offline)."""
-        return self.utilization if self.online else 0.0

@@ -7,14 +7,7 @@ soak — which is exactly the behaviour the ACCUBENCH warmup and cooldown
 phases exist to normalize.
 """
 
-from repro.thermal.ambient import (
-    AmbientProfile,
-    ConstantAmbient,
-    DiurnalAmbient,
-    RampAmbient,
-    StepAmbient,
-    sweep,
-)
+from repro.thermal.ambient import AmbientProfile, ConstantAmbient
 from repro.thermal.integrator import StableEuler
 from repro.thermal.network import ThermalLink, ThermalNetwork, ThermalNode
 from repro.thermal.propagator import ExpmPropagator
@@ -24,17 +17,13 @@ from repro.thermal.skin import SkinModel, SkinThrottle, SkinThrottleSpec
 __all__ = [
     "AmbientProfile",
     "ConstantAmbient",
-    "DiurnalAmbient",
     "ExpmPropagator",
-    "RampAmbient",
     "SkinModel",
     "SkinThrottle",
     "SkinThrottleSpec",
     "StableEuler",
-    "StepAmbient",
     "TemperatureSensor",
     "ThermalLink",
     "ThermalNetwork",
     "ThermalNode",
-    "sweep",
 ]

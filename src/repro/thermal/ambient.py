@@ -9,11 +9,8 @@ regulates against them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Protocol, Tuple
-
-from repro.errors import ConfigurationError
+from typing import Protocol
 
 
 class AmbientProfile(Protocol):
@@ -33,64 +30,3 @@ class ConstantAmbient:
     def temperature(self, time_s: float) -> float:
         """Ambient temperature (constant), °C."""
         return self.temp_c
-
-
-@dataclass(frozen=True)
-class StepAmbient:
-    """Ambient that jumps from one temperature to another at ``step_at_s``."""
-
-    before_c: float
-    after_c: float
-    step_at_s: float
-
-    def temperature(self, time_s: float) -> float:
-        """Ambient temperature, °C."""
-        return self.before_c if time_s < self.step_at_s else self.after_c
-
-
-@dataclass(frozen=True)
-class RampAmbient:
-    """Ambient that ramps linearly between two temperatures."""
-
-    start_c: float
-    end_c: float
-    duration_s: float
-
-    def __post_init__(self) -> None:
-        if self.duration_s <= 0:
-            raise ConfigurationError("duration_s must be positive")
-
-    def temperature(self, time_s: float) -> float:
-        """Ambient temperature, °C."""
-        frac = min(max(time_s / self.duration_s, 0.0), 1.0)
-        return self.start_c + frac * (self.end_c - self.start_c)
-
-
-@dataclass(frozen=True)
-class DiurnalAmbient:
-    """A day/night sinusoid — the uncontrolled room a crowdsourced
-    benchmark (paper §VI) would run in."""
-
-    mean_c: float
-    amplitude_c: float
-    period_s: float = 86400.0
-    phase_s: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.amplitude_c < 0:
-            raise ConfigurationError("amplitude_c must be non-negative")
-        if self.period_s <= 0:
-            raise ConfigurationError("period_s must be positive")
-
-    def temperature(self, time_s: float) -> float:
-        """Ambient temperature, °C."""
-        angle = 2.0 * math.pi * (time_s + self.phase_s) / self.period_s
-        return self.mean_c + self.amplitude_c * math.sin(angle)
-
-
-def sweep(start_c: float, stop_c: float, count: int) -> Tuple[ConstantAmbient, ...]:
-    """Evenly spaced constant ambients for parameter sweeps (Figure 2)."""
-    if count < 2:
-        raise ConfigurationError("a sweep needs at least two points")
-    step = (stop_c - start_c) / (count - 1)
-    return tuple(ConstantAmbient(start_c + i * step) for i in range(count))

@@ -38,11 +38,6 @@ class StableEuler:
         # Holds each sub-step's increment, so a step allocates nothing.
         self._increment: Optional[np.ndarray] = None
 
-    @property
-    def max_stable_step(self) -> float:
-        """Largest sub-step the integrator will take, seconds."""
-        return self._max_step
-
     def advance(
         self,
         derivative: Callable[[np.ndarray, np.ndarray], np.ndarray],

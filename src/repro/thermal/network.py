@@ -113,8 +113,7 @@ class ThermalNetwork:
 
         size = len(self._nodes)
         conductance = np.zeros((size, size))
-        self._links: Tuple[ThermalLink, ...] = tuple(links)
-        for link in self._links:
+        for link in links:
             for endpoint in (link.node_a, link.node_b):
                 if endpoint not in self._index:
                     raise ConfigurationError(
@@ -143,7 +142,6 @@ class ThermalNetwork:
             for name, temp in initial_temps_c.items():
                 self.set_temperature(name, temp)
 
-        self._power_scratch = np.zeros(size)
         self._rate_scratch = np.empty(size)
         self._inflow_scratch = np.empty(size)
 
@@ -177,7 +175,6 @@ class ThermalNetwork:
         clone.__dict__.update(self.__dict__)
         size = self._temps.size
         clone._temps = np.full(size, float(initial_temp_c))
-        clone._power_scratch = np.zeros(size)
         clone._rate_scratch = np.empty(size)
         clone._inflow_scratch = np.empty(size)
         clone._integrator = StableEuler(max_rate=self._max_rate)
@@ -208,11 +205,6 @@ class ThermalNetwork:
         """Node names in index order."""
         return tuple(node.name for node in self._nodes)
 
-    @property
-    def links(self) -> Tuple[ThermalLink, ...]:
-        """The network's links."""
-        return self._links
-
     def temperature(self, name: str) -> float:
         """Current temperature of a node, °C."""
         return float(self._temps[self._node_index(name)])
@@ -241,25 +233,6 @@ class ThermalNetwork:
         """Force every node to one temperature (long idle soak shortcut)."""
         self._temps[:] = float(temp_c)
 
-    def step(self, powers_w: Mapping[str, float], dt: float) -> None:
-        """Advance the network by ``dt`` seconds with the given heat inputs.
-
-        ``powers_w`` maps node names to injected power in watts; omitted
-        nodes receive none.  Boundary node temperatures are left untouched.
-        """
-        if dt <= 0:
-            raise SimulationError("dt must be positive")
-        power = self._power_scratch
-        power[:] = 0.0
-        for name, watts in powers_w.items():
-            index = self._node_index(name)
-            if self._boundary[index]:
-                raise SimulationError(
-                    f"cannot inject power into boundary node {name!r}"
-                )
-            power[index] = watts
-        self.step_vector(power, dt)
-
     def injection_indices(self, names: Iterable[str]) -> Tuple[int, ...]:
         """Validated node indices for repeated injection via :meth:`step_vector`.
 
@@ -277,9 +250,9 @@ class ThermalNetwork:
     def step_vector(self, power_w: np.ndarray, dt: float) -> None:
         """Advance ``dt`` seconds with a full-size injected-power vector.
 
-        The hot-loop variant of :meth:`step`: ``power_w`` is indexed by node
-        (see :meth:`injection_indices`) and must be zero at boundary nodes.
-        No per-call name resolution or allocation.
+        ``power_w`` is indexed by node (see :meth:`injection_indices`) and
+        must be zero at boundary nodes.  No per-call name resolution or
+        allocation.
         """
         if dt <= 0:
             raise SimulationError("dt must be positive")

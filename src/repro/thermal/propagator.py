@@ -61,8 +61,8 @@ class _SharedDecomposition:
     Keyed process-wide by the raw constructor arrays, so every propagator
     over the same network shares both the spectral data and the per-``dt``
     cache.  Hit/miss accounting stays on the *instances* (each device still
-    reports its own ``cache_hit_rate``); the shared object only stores the
-    reusable math.
+    counts its own ``cache_hits``/``cache_misses``); the shared object only
+    stores the reusable math.
     """
 
     __slots__ = (
@@ -234,28 +234,6 @@ class ExpmPropagator:
         )
         self.cache_hits = state["cache_hits"]
         self.cache_misses = state["cache_misses"]
-
-    @property
-    def finite_count(self) -> int:
-        """Number of evolving (non-boundary) nodes."""
-        return int(self._finite.size)
-
-    @property
-    def cache_hit_rate(self) -> float:
-        """Fraction of :meth:`pair` calls served from the (Φ, Ψ) cache
-        (0.0 before the first call).  A healthy run sits near 1.0 — the
-        simulator only ever asks for a handful of distinct step sizes, and
-        the cache is shared across every same-topology propagator in the
-        process, so fleet runs warm it once."""
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
-
-    @property
-    def slowest_time_constant_s(self) -> float:
-        """The network's slowest modal time constant, seconds (inf if a
-        mode is disconnected from every boundary)."""
-        smallest = float(self._rates.min())
-        return 1.0 / smallest if smallest > 0 else float("inf")
 
     def pair(self, dt: float) -> Tuple[np.ndarray, np.ndarray]:
         """The cached discrete pair (Φ, Ψ) for a step of ``dt`` seconds."""

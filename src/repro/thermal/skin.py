@@ -1,4 +1,4 @@
-"""Skin (case-surface) temperature and comfort limits.
+"""Skin (case-surface) temperature and skin-temperature throttling.
 
 The paper's related work measures what users actually feel: skin
 temperature (Straume et al. [21]) and its role in user-centric thermal
@@ -11,10 +11,6 @@ The model: the touchable surface sits between the case node and the
 ambient/hand through a thin contact layer,
 
     T_skin = T_case − (T_case − T_ambient) · R_surface / (R_surface + R_contact)
-
-with standard comfort thresholds from the handheld-ergonomics literature
-(warm ≈ 40 °C, hot ≈ 45 °C for plastic; metal feels hotter at equal
-temperature, captured by a material factor).
 """
 
 from __future__ import annotations
@@ -22,10 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-
-#: Skin-contact comfort thresholds for plastic surfaces, °C.
-COMFORT_WARM_C = 40.0
-COMFORT_HOT_C = 45.0
 
 
 @dataclass(frozen=True)
@@ -39,39 +31,17 @@ class SkinModel:
         surface film; expressed as the fraction of the case-to-ambient
         temperature drop that happens *inside* the case wall (0 = surface
         is exactly case temperature, 1 = surface is exactly ambient).
-    material_feel_factor:
-        Perceived-temperature multiplier on the rise above skin-neutral
-        (33 °C): ~1.0 for plastic, ~1.25 for metal (higher effusivity
-        conducts heat into the finger faster).
     """
 
     contact_resistance: float = 0.35
-    material_feel_factor: float = 1.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.contact_resistance < 1.0:
             raise ConfigurationError("contact_resistance must be within [0, 1)")
-        if self.material_feel_factor <= 0:
-            raise ConfigurationError("material_feel_factor must be positive")
 
     def surface_temp_c(self, case_temp_c: float, ambient_c: float) -> float:
         """Touchable surface temperature, °C."""
         return case_temp_c - (case_temp_c - ambient_c) * self.contact_resistance
-
-    def perceived_temp_c(self, case_temp_c: float, ambient_c: float) -> float:
-        """What the surface *feels* like, material effects included, °C."""
-        neutral = 33.0  # skin-neutral contact temperature
-        surface = self.surface_temp_c(case_temp_c, ambient_c)
-        return neutral + (surface - neutral) * self.material_feel_factor
-
-    def comfort_level(self, case_temp_c: float, ambient_c: float) -> str:
-        """Classify the surface: ``"comfortable"``, ``"warm"`` or ``"hot"``."""
-        felt = self.perceived_temp_c(case_temp_c, ambient_c)
-        if felt >= COMFORT_HOT_C:
-            return "hot"
-        if felt >= COMFORT_WARM_C:
-            return "warm"
-        return "comfortable"
 
 
 @dataclass(frozen=True)
@@ -80,7 +50,6 @@ class SkinThrottleSpec:
     hold specs; each built device gets fresh mutable state)."""
 
     contact_resistance: float = 0.35
-    material_feel_factor: float = 1.0
     throttle_surface_c: float = 41.0
     clear_surface_c: float = 38.5
     poll_interval_s: float = 20.0
@@ -89,10 +58,7 @@ class SkinThrottleSpec:
     def build(self) -> "SkinThrottle":
         """Instantiate the policy with fresh state."""
         return SkinThrottle(
-            skin_model=SkinModel(
-                contact_resistance=self.contact_resistance,
-                material_feel_factor=self.material_feel_factor,
-            ),
+            skin_model=SkinModel(contact_resistance=self.contact_resistance),
             throttle_surface_c=self.throttle_surface_c,
             clear_surface_c=self.clear_surface_c,
             poll_interval_s=self.poll_interval_s,

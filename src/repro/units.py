@@ -24,23 +24,11 @@ from __future__ import annotations
 
 import math
 
-ZERO_CELSIUS_IN_KELVIN = 273.15
-
 #: Ambient target used throughout the paper's experiments (Section III).
 PAPER_AMBIENT_C = 26.0
 
 #: THERMABOX regulation band around the target (Section III).
 PAPER_AMBIENT_TOLERANCE_C = 0.5
-
-
-def celsius_to_kelvin(temp_c: float) -> float:
-    """Convert a temperature from Celsius to Kelvin."""
-    return temp_c + ZERO_CELSIUS_IN_KELVIN
-
-
-def kelvin_to_celsius(temp_k: float) -> float:
-    """Convert a temperature from Kelvin to Celsius."""
-    return temp_k - ZERO_CELSIUS_IN_KELVIN
 
 
 def mv_to_v(millivolts: float) -> float:
@@ -56,16 +44,6 @@ def v_to_mv(volts: float) -> float:
 def mhz_to_hz(mhz: float) -> float:
     """Convert megahertz to hertz."""
     return mhz * 1e6
-
-
-def hz_to_mhz(hz: float) -> float:
-    """Convert hertz to megahertz."""
-    return hz / 1e6
-
-
-def joules_to_mwh(joules: float) -> float:
-    """Convert joules to milliwatt-hours (a common battery-capacity unit)."""
-    return joules / 3.6
 
 
 def mwh_to_joules(mwh: float) -> float:

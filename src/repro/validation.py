@@ -39,14 +39,6 @@ class CheckResult:
     expected: str
 
 
-def validate_model(
-    runner: CampaignRunner, model: str
-) -> List[CheckResult]:
-    """Run both workloads on one model's paper fleet and check its bands."""
-    _require_targets([model])
-    return _model_checks(model, *runner.run_model(model))
-
-
 def _require_targets(models: Sequence[str]) -> None:
     for model in models:
         if model not in TABLE2_TARGETS:

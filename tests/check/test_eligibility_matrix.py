@@ -6,7 +6,8 @@ Two layers of gate:
   for every catalog model under every scenario the engine claims
   (invariants armed, skin-throttled hardware, memory-bounded workloads,
   heterogeneous fleets), and must still name the genuinely serial-only
-  configurations (Euler integration, disabled sleep fast-forward).
+  configurations (Euler integration, disabled sleep fast-forward, several
+  models sharing a THERMABOX).
 * The parity runs — each newly lifted scenario's serial↔batched pairing
   actually executes and agrees within :data:`BATCH_SPEC` on a scaled
   protocol.  These are the same pairings ``repro-bench check
@@ -28,8 +29,14 @@ from repro.check.differential import (
 )
 from repro.core.batch_runner import batch_ineligibility_reason
 from repro.core.experiments import unconstrained
+from repro.core.parallel import DeviceTask
+from repro.core.runner import CampaignRunner
+from repro.core.serialize import device_to_dict
 from repro.device.catalog import DEVICE_NAMES, device_spec
 from repro.device.fleet import PAPER_FLEETS, build_device, paper_fleet
+from repro.errors import SimulationError
+from repro.instruments.thermabox import BatchedThermabox
+from repro.sim.batch import BatchedWorld
 from repro.thermal.skin import SkinThrottleSpec
 
 MODEL = "Nexus 5"
@@ -97,6 +104,42 @@ class TestEligibilityMatrix:
     def test_empty_fleet_stays_serial(self):
         reason = batch_ineligibility_reason(base_config(), [])
         assert reason == "empty fleet"
+
+
+class TestMixedFleetInThermabox:
+    """Several models sharing one THERMABOX run take the serial path."""
+
+    def config(self, batch):
+        return replace(base_config(batch=batch), use_thermabox=True)
+
+    def mixed(self):
+        return expm_fleet(MODEL)[:2] + expm_fleet("Nexus 6")[:2]
+
+    def test_reason_names_the_case(self):
+        reason = batch_ineligibility_reason(self.config(True), self.mixed())
+        assert reason == "mixed-model fleet in a THERMABOX"
+
+    def test_forced_batching_returns_the_serial_results(self):
+        forced = CampaignRunner(self.config(True))
+        tasks = forced._fleet_tasks(self.mixed(), unconstrained(), 1)
+        assert all(isinstance(task, DeviceTask) for task in tasks)
+        results = [
+            CampaignRunner(self.config(batch)).run_fleet(
+                "mixed", unconstrained(), devices=self.mixed(), iterations=1
+            )
+            for batch in (True, False)
+        ]
+        assert [device_to_dict(d) for d in results[0].devices] == [
+            device_to_dict(d) for d in results[1].devices
+        ]
+
+    def test_batched_world_rejects_a_shared_chamber(self):
+        units = self.mixed()
+        with pytest.raises(SimulationError, match="mixed-model"):
+            BatchedWorld(
+                units, room_temp_c=23.0,
+                chamber=BatchedThermabox(count=len(units)),
+            )
 
 
 class TestLiftedScenarioParity:

@@ -7,10 +7,7 @@ from repro.core.ambient_estimation import (
     AmbientEstimate,
     cooldown_probe,
     estimate_ambient,
-    estimate_from_trace,
 )
-from repro.core.experiments import unconstrained
-from repro.core.protocol import Accubench
 from repro.device.fleet import PAPER_FLEETS, build_device
 from repro.errors import AnalysisError
 from repro.instruments.monsoon import MonsoonPowerMonitor
@@ -78,38 +75,6 @@ class TestSyntheticDecay:
         times, temps = synthetic_decay()
         with pytest.raises(AnalysisError):
             estimate_ambient(times, temps, skip_fraction=1.0)
-
-
-class TestFromProtocolTrace:
-    @pytest.fixture(scope="class")
-    def traced_run(self):
-        """One protocol iteration at a known, uncontrolled ambient."""
-        from repro.core.config import AccubenchConfig
-
-        device = build_device(PAPER_FLEETS["Nexus 5"][1], initial_temp_c=31.0)
-        device.connect_supply(MonsoonPowerMonitor(3.8))
-        config = AccubenchConfig(
-            warmup_s=120.0, workload_s=60.0, cooldown_target_c=34.0,
-            cooldown_timeout_s=3600.0, dt=0.2, trace_decimation=25,
-            keep_traces=True,
-        )
-        bench = Accubench(config)
-        return bench.run_iteration(
-            device, unconstrained(), room=ConstantAmbient(31.0)
-        )
-
-    def test_trace_estimate_bounded_by_physics(self, traced_run):
-        # The protocol's cooldown stops at its target, so the fitted
-        # asymptote reflects the still-warm chassis: above the true room,
-        # below the phase's own peak.
-        estimate = estimate_from_trace(traced_run.trace)
-        cooldown_peak = traced_run.trace.phase_column("cooldown", "cpu_temp").max()
-        assert 31.0 <= estimate.ambient_c <= cooldown_peak
-
-    def test_fit_is_clean(self, traced_run):
-        estimate = estimate_from_trace(traced_run.trace)
-        assert estimate.r_squared > 0.9
-        assert estimate.time_constant_s > 0
 
 
 class TestCooldownProbe:

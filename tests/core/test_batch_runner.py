@@ -8,6 +8,7 @@ per-unit path, and a batched fleet must return the same results (within
 
 import json
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from repro.core.batch_runner import (
     MIN_AUTO_BATCH_UNITS,
     batch_ineligibility_reason,
     run_batch,
+    shard_bounds,
 )
 from repro.core.config import AccubenchConfig
 from repro.core.experiments import (
@@ -69,7 +71,9 @@ class TestEligibility:
         assert batch_ineligibility_reason(config, fleet(4)) is None
 
     def test_mixed_models_are_eligible(self):
-        config = CampaignConfig(accubench=bench())
+        # Outside a chamber; a mixed fleet in a THERMABOX runs serial
+        # (tests/check/test_eligibility_matrix.py).
+        config = CampaignConfig(accubench=bench(), use_thermabox=False)
         mixed = fleet(2) + synthetic_fleet(
             "Nexus 6", 2, thermal_solver="expm", initial_temp_c=26.0
         )
@@ -128,6 +132,21 @@ class TestTaskShaping:
         flattened = [dev for task in tasks for dev in task.devices]
         assert [d.serial for d in flattened] == [d.serial for d in units]
         assert min(len(task.devices) for task in tasks) >= MIN_AUTO_BATCH_UNITS
+
+    def test_mixed_fleet_shards_hold_the_minimum(self):
+        # Model boundaries never move a cut: a fleet [A, B x 9] at two
+        # jobs must not leave A alone in a one-unit batched shard.
+        for pattern in [(1, 9), (9, 1), (3, 3, 3, 3), (5, 1, 6), (2, 7, 2), (4, 1)]:
+            units = [
+                SimpleNamespace(spec=SimpleNamespace(name=f"model-{k}"))
+                for k, size in enumerate(pattern)
+                for _ in range(size)
+            ]
+            for jobs in (2, 3, 4):
+                bounds = shard_bounds(units, jobs)
+                sizes = [b - a for a, b in zip(bounds, bounds[1:])]
+                assert bounds[0] == 0 and bounds[-1] == len(units)
+                assert min(sizes) >= MIN_AUTO_BATCH_UNITS, (pattern, jobs, bounds)
 
 
 class TestBatchedFleetParity:

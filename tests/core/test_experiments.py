@@ -17,7 +17,6 @@ class TestUnconstrained:
     def test_factory(self):
         spec = unconstrained()
         assert spec.name == UNCONSTRAINED
-        assert spec.is_unconstrained
         assert spec.fixed_freq_mhz is None
 
     def test_rejects_fixed_frequency(self):
@@ -30,7 +29,6 @@ class TestFixedFrequency:
         spec = fixed_frequency(device_spec("Nexus 5"))
         assert spec.name == FIXED_FREQUENCY
         assert spec.fixed_freq_mhz == 960.0
-        assert not spec.is_unconstrained
 
     def test_override(self):
         spec = fixed_frequency(device_spec("Nexus 5"), freq_mhz=729.0)

@@ -46,7 +46,6 @@ class TestDeviceResult:
     def test_rsds(self):
         d = device("bin-0", [790.0, 810.0], [495.0, 505.0])
         assert d.performance_rsd > 0.0
-        assert d.energy_rsd > 0.0
 
     def test_efficiency(self):
         d = device("bin-0", [800.0], [400.0])

@@ -1,20 +1,14 @@
 """Result serialization."""
 
-import io
-import json
-
 import pytest
 
 from repro.core.results import DeviceResult, ExperimentResult, IterationResult
 from repro.core.serialize import (
     SCHEMA_VERSION,
-    dump_experiment,
-    dumps_experiment,
     experiment_from_dict,
     experiment_to_dict,
     iteration_from_dict,
     iteration_to_dict,
-    load_experiment,
 )
 from repro.errors import AnalysisError
 from repro.sim.trace import Trace
@@ -86,23 +80,3 @@ class TestExperimentRoundTrip:
         data["schema_version"] = 99
         with pytest.raises(AnalysisError):
             experiment_from_dict(data)
-
-
-class TestFileInterface:
-    def test_dump_and_load(self):
-        buffer = io.StringIO()
-        dump_experiment(experiment(), buffer)
-        buffer.seek(0)
-        assert load_experiment(buffer) == experiment()
-
-    def test_dumps_and_load_string(self):
-        text = dumps_experiment(experiment())
-        assert load_experiment(text) == experiment()
-
-    def test_output_is_valid_json(self):
-        parsed = json.loads(dumps_experiment(experiment()))
-        assert parsed["model"] == "Nexus 5"
-
-    def test_non_object_rejected(self):
-        with pytest.raises(AnalysisError):
-            load_experiment("[1, 2, 3]")

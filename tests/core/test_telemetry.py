@@ -160,6 +160,5 @@ class TestPropagatorCacheTelemetry:
         misses = counters["propagator.cache_misses"]
         assert hits + misses > 0
         assert hits / (hits + misses) > 0.9
-        assert device.thermal.propagator.cache_hit_rate > 0.9
         assert counters["engine.fast_forward_windows"] > 0
         assert counters["engine.fast_forward_steps"] > 0

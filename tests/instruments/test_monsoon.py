@@ -7,7 +7,6 @@ from repro.instruments.monsoon import (
     MAX_OUTPUT_V,
     MIN_OUTPUT_V,
     MonsoonPowerMonitor,
-    SAMPLE_RATE_HZ,
 )
 
 
@@ -36,31 +35,7 @@ class TestDraw:
         monsoon = MonsoonPowerMonitor(4.0)
         for _ in range(10):
             monsoon.draw(3.0, 0.5)
-        assert monsoon.energy_j == pytest.approx(15.0)
-        assert monsoon.elapsed_s == pytest.approx(5.0)
-
-    def test_charge_integration(self):
-        monsoon = MonsoonPowerMonitor(4.0)
-        monsoon.draw(2.0, 10.0)
-        assert monsoon.charge_c == pytest.approx(5.0)
-
-    def test_mean_power(self):
-        monsoon = MonsoonPowerMonitor(4.0)
-        monsoon.draw(1.0, 1.0)
-        monsoon.draw(3.0, 1.0)
-        assert monsoon.mean_power_w == pytest.approx(2.0)
-
-    def test_mean_current(self):
-        monsoon = MonsoonPowerMonitor(4.0)
-        monsoon.draw(2.0, 2.0)
-        assert monsoon.mean_current_a == pytest.approx(0.5)
-
-    def test_peak_current(self):
-        monsoon = MonsoonPowerMonitor(4.0)
-        monsoon.draw(1.0, 1.0)
-        monsoon.draw(6.0, 0.1)
-        monsoon.draw(2.0, 1.0)
-        assert monsoon.peak_current_a == pytest.approx(1.5)
+        assert monsoon.energy_drawn_j == pytest.approx(15.0)
 
     def test_negative_power_rejected(self):
         with pytest.raises(InstrumentError):
@@ -70,54 +45,3 @@ class TestDraw:
         with pytest.raises(InstrumentError):
             MonsoonPowerMonitor(4.0).draw(1.0, 0.0)
 
-
-class TestCounters:
-    def test_reset(self):
-        monsoon = MonsoonPowerMonitor(4.0)
-        monsoon.draw(2.0, 5.0)
-        monsoon.reset_counters()
-        assert monsoon.energy_j == 0.0
-        assert monsoon.elapsed_s == 0.0
-        assert monsoon.peak_current_a == 0.0
-
-    def test_mean_power_needs_samples(self):
-        with pytest.raises(InstrumentError):
-            MonsoonPowerMonitor(4.0).mean_power_w
-
-    def test_nominal_sample_count(self):
-        monsoon = MonsoonPowerMonitor(4.0)
-        monsoon.draw(1.0, 2.0)
-        assert monsoon.nominal_sample_count == int(2.0 * SAMPLE_RATE_HZ)
-
-
-class TestOutputEnable:
-    def test_disabled_output_refuses(self):
-        monsoon = MonsoonPowerMonitor(4.0)
-        monsoon.disable_output()
-        with pytest.raises(InstrumentError):
-            monsoon.draw(1.0, 1.0)
-        with pytest.raises(InstrumentError):
-            monsoon.output_voltage_v
-
-    def test_reenable(self):
-        monsoon = MonsoonPowerMonitor(4.0)
-        monsoon.disable_output()
-        monsoon.enable_output()
-        assert monsoon.draw(1.0, 1.0) > 0
-
-
-class TestSampleRecording:
-    def test_recording_disabled_by_default(self):
-        monsoon = MonsoonPowerMonitor(4.0)
-        monsoon.draw(1.0, 1.0)
-        with pytest.raises(InstrumentError):
-            monsoon.samples()
-
-    def test_recording(self):
-        monsoon = MonsoonPowerMonitor(4.0, record_samples=True)
-        monsoon.draw(2.0, 1.0)
-        monsoon.draw(4.0, 1.0)
-        samples = monsoon.samples()
-        assert len(samples) == 2
-        assert samples[0] == (1.0, 0.5)
-        assert samples[1] == (2.0, 1.0)

@@ -51,7 +51,6 @@ class TestHistogram:
         assert histogram.counts == [2, 1, 1]  # <=1, <=10, overflow
         assert histogram.count == 4
         assert histogram.sum == pytest.approx(106.5)
-        assert histogram.mean == pytest.approx(106.5 / 4)
 
     def test_rejects_bad_bounds(self):
         with pytest.raises(ObservabilityError):
@@ -93,16 +92,6 @@ class TestRegistry:
         registry.counter("engine.steps").inc(3)
         registry.counter("engine.steps").inc(4)
         assert registry.snapshot()["counters"]["engine.steps"] == 7.0
-
-    def test_clear_drops_everything(self):
-        registry = MetricsRegistry()
-        registry.counter("a").inc()
-        with registry.span("s"):
-            pass
-        registry.clear()
-        snapshot = registry.snapshot()
-        assert snapshot["counters"] == {}
-        assert snapshot["spans"] == []
 
     def test_snapshot_is_json_shaped(self):
         registry = MetricsRegistry()

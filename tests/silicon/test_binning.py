@@ -5,13 +5,11 @@ from hypothesis import given, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.silicon.binning import (
-    SpeedBinner,
     VoltageBinner,
     assign_bin_index,
     bin_profile,
     bin_slice_vth,
     required_voltage,
-    spread_profiles,
 )
 from repro.silicon.process import PROCESS_28NM_LP
 from repro.silicon.transistor import SiliconProfile
@@ -69,31 +67,26 @@ class TestVoltageBinner:
         spread = table.row_mv(0)[-1] - table.row_mv(6)[-1]
         assert 80.0 <= spread <= 320.0
 
+    # Dies are assigned with the same slicing the table uses.
     def test_assign_nominal_die_to_middle(self, binner):
-        outcome = binner.assign_bin(SiliconProfile.nominal())
-        assert outcome.bin_index == 3
+        nominal = SiliconProfile.nominal()
+        assert assign_bin_index(PROCESS_28NM_LP, binner.bin_count, nominal) == 3
 
     def test_assign_slow_die_to_bin0(self, binner):
         slow = SiliconProfile.from_vth_delta(PROCESS_28NM_LP, +0.08)
-        assert binner.assign_bin(slow).bin_index == 0
+        assert assign_bin_index(PROCESS_28NM_LP, binner.bin_count, slow) == 0
 
     def test_assign_fast_die_to_last_bin(self, binner):
         fast = SiliconProfile.from_vth_delta(PROCESS_28NM_LP, -0.08)
-        assert binner.assign_bin(fast).bin_index == 6
+        assert assign_bin_index(PROCESS_28NM_LP, binner.bin_count, fast) == 6
 
     @given(st.floats(min_value=-0.06, max_value=0.06))
     def test_assignment_monotone_in_vth(self, delta):
-        binner = VoltageBinner(
-            process=PROCESS_28NM_LP,
-            frequencies_mhz=(300.0, 2265.0),
-            nominal_voltages_v=(0.78, 1.02),
-            bin_count=7,
-        )
         profile = SiliconProfile.from_vth_delta(PROCESS_28NM_LP, delta)
         faster = SiliconProfile.from_vth_delta(PROCESS_28NM_LP, delta - 0.01)
-        assert binner.assign_bin(faster).bin_index >= binner.assign_bin(
-            profile
-        ).bin_index
+        assert assign_bin_index(PROCESS_28NM_LP, 7, faster) >= assign_bin_index(
+            PROCESS_28NM_LP, 7, profile
+        )
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -102,34 +95,6 @@ class TestVoltageBinner:
                 frequencies_mhz=(300.0, 960.0),
                 nominal_voltages_v=(0.78,),
             )
-
-
-class TestSpeedBinner:
-    @pytest.fixture
-    def speed(self) -> SpeedBinner:
-        return SpeedBinner(
-            frequencies_mhz=(1958.0, 2150.0, 2265.0, 2457.0),
-            nominal_top_mhz=2265.0,
-        )
-
-    def test_nominal_die_gets_nominal_bin(self, speed):
-        assert speed.binned_frequency_mhz(SiliconProfile.nominal()) == 2265.0
-
-    def test_fast_die_promoted(self, speed):
-        fast = SiliconProfile(vth_delta=-0.04, speed_factor=1.10, leak_factor=2.0)
-        assert speed.binned_frequency_mhz(fast) == 2457.0
-
-    def test_slow_die_demoted(self, speed):
-        slow = SiliconProfile(vth_delta=0.04, speed_factor=0.96, leak_factor=0.5)
-        assert speed.binned_frequency_mhz(slow) == 2150.0
-
-    def test_hopeless_die_gets_bottom_bin(self, speed):
-        dud = SiliconProfile(vth_delta=0.1, speed_factor=0.5, leak_factor=0.2)
-        assert speed.binned_frequency_mhz(dud) == 1958.0
-
-    def test_frequencies_must_increase(self):
-        with pytest.raises(ConfigurationError):
-            SpeedBinner(frequencies_mhz=(2265.0, 1958.0), nominal_top_mhz=2265.0)
 
 
 class TestBinSlices:
@@ -159,15 +124,6 @@ class TestBinSlices:
     def test_bad_fraction_rejected(self):
         with pytest.raises(ConfigurationError):
             bin_slice_vth(PROCESS_28NM_LP, 7, 0, fraction=1.5)
-
-    def test_spread_profiles(self, binner):
-        profiles = spread_profiles(PROCESS_28NM_LP, (0, 3, 6), binner)
-        assert len(profiles) == 3
-        assert profiles[0].leak_factor < profiles[1].leak_factor < profiles[2].leak_factor
-
-    def test_spread_profiles_bad_bin(self, binner):
-        with pytest.raises(ConfigurationError):
-            spread_profiles(PROCESS_28NM_LP, (9,), binner)
 
 
 class TestAssignBinIndex:

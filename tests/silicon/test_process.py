@@ -2,26 +2,16 @@
 
 import pytest
 
-from repro.errors import ConfigurationError, UnknownModelError
+from repro.errors import ConfigurationError
 from repro.silicon.process import (
     PROCESS_14NM_FINFET,
     PROCESS_20NM_PLANAR,
     PROCESS_28NM_LP,
     ProcessNode,
-    process_node,
 )
 
 
 class TestCatalog:
-    def test_lookup_by_name(self):
-        assert process_node("28nm-LP") is PROCESS_28NM_LP
-        assert process_node("20nm-planar") is PROCESS_20NM_PLANAR
-        assert process_node("14nm-FinFET") is PROCESS_14NM_FINFET
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(UnknownModelError):
-            process_node("7nm-EUV")
-
     def test_feature_sizes_descend_with_generation(self):
         assert (
             PROCESS_28NM_LP.feature_nm

@@ -66,9 +66,3 @@ class TestValidation:
     def test_non_positive_leak_rejected(self):
         with pytest.raises(ConfigurationError):
             SiliconProfile(vth_delta=0.0, speed_factor=1.0, leak_factor=-0.5)
-
-    def test_is_faster_than(self):
-        fast = SiliconProfile.from_vth_delta(PROCESS_28NM_LP, -0.02)
-        slow = SiliconProfile.from_vth_delta(PROCESS_28NM_LP, +0.02)
-        assert fast.is_faster_than(slow)
-        assert not slow.is_faster_than(fast)

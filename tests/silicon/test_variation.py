@@ -32,22 +32,12 @@ class TestSample:
     def test_population_spread_tracks_sigma(self):
         wide = VariationSampler(PROCESS_28NM_LP, root_seed=3)
         narrow = VariationSampler(PROCESS_14NM_FINFET, root_seed=3)
-        wide_deltas = [p.vth_delta for p in wide.sample_lot("lot", 300)]
-        narrow_deltas = [p.vth_delta for p in narrow.sample_lot("lot", 300)]
+        wide_deltas = [wide.sample("lot", f"die-{i}").vth_delta for i in range(300)]
+        narrow_deltas = [
+            narrow.sample("lot", f"die-{i}").vth_delta for i in range(300)
+        ]
         spread = lambda xs: max(xs) - min(xs)  # noqa: E731
         assert spread(wide_deltas) > spread(narrow_deltas)
-
-
-class TestSampleLot:
-    def test_count(self, sampler):
-        assert len(sampler.sample_lot("lot", 12)) == 12
-
-    def test_negative_count_rejected(self, sampler):
-        with pytest.raises(ConfigurationError):
-            sampler.sample_lot("lot", -1)
-
-    def test_empty_lot(self, sampler):
-        assert sampler.sample_lot("lot", 0) == []
 
 
 class TestFromPercentile:

@@ -135,10 +135,3 @@ class TestHelpers:
         table = single_bin_table((300.0, 960.0), (800.0, 900.0))
         assert table.bin_count == 1
         assert table.voltage_mv(0, 960.0) == 900.0
-
-    def test_as_dict(self):
-        table = single_bin_table((300.0, 960.0), (800.0, 900.0))
-        assert table.as_dict() == {0: {300.0: 800.0, 960.0: 900.0}}
-
-    def test_max_frequency(self):
-        assert nexus5_table().max_frequency_mhz == 2265.0

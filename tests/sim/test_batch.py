@@ -200,8 +200,7 @@ class TestBatchedMatchesSerial:
                     atol=TRACE_ATOL,
                 )
 
-    @pytest.mark.parametrize("use_box", [False, True])
-    def test_mixed_model_fleet_agrees_per_unit(self, use_box):
+    def test_mixed_model_fleet_agrees_per_unit(self):
         # Interleaved models exercise the block-diagonal cohort path:
         # results must come back in fleet order, identical to serial.
         def mixed():
@@ -209,8 +208,8 @@ class TestBatchedMatchesSerial:
             b = build_fleet(2, model="Nexus 6")
             return [a[0], b[0], a[1], b[1]]
 
-        serial = run_serial(mixed(), use_box)
-        batched, cooldown_b = run_batched(mixed(), use_box)
+        serial = run_serial(mixed(), use_box=False)
+        batched, cooldown_b = run_batched(mixed(), use_box=False)
         for i, (world, cooldown_s) in enumerate(serial):
             trace_s, trace_b = world.trace, batched.traces[i]
             np.testing.assert_array_equal(trace_s.times(), trace_b.times())

@@ -8,7 +8,7 @@ from repro.errors import SimulationError
 from repro.instruments.monsoon import MonsoonPowerMonitor
 from repro.instruments.thermabox import Thermabox
 from repro.sim.engine import World
-from repro.thermal.ambient import ConstantAmbient, StepAmbient
+from repro.thermal.ambient import ConstantAmbient
 
 
 def make_world(chamber=None, room=None, dt=0.1) -> World:
@@ -79,9 +79,10 @@ class TestStepping:
 
 class TestAmbientCoupling:
     def test_room_profile_drives_device(self):
-        world = make_world(room=StepAmbient(before_c=20.0, after_c=35.0, step_at_s=1.0))
+        world = make_world(room=ConstantAmbient(20.0))
         world.run_for(0.5)
         assert world.device.thermal.temperature("ambient") == 20.0
+        world.room = ConstantAmbient(35.0)
         world.run_for(1.0)
         assert world.device.thermal.temperature("ambient") == 35.0
 

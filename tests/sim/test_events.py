@@ -1,7 +1,5 @@
 """Event logging."""
 
-import pytest
-
 from repro.sim.events import Event, EventLog
 
 
@@ -18,30 +16,6 @@ class TestEvent:
         event = Event(time_s=1.0, kind="phase", detail=(("name", "warmup"),))
         assert event.get("missing") is None
 
-    def test_dict_round_trip(self):
-        event = EventLog().log(42.5, "core-offline", online=3, cluster="krait")
-        assert Event.from_dict(event.to_dict()) == event
-
-    def test_from_dict_canonicalizes_detail_order(self):
-        # EventLog.log stores detail keys sorted; from_dict re-sorts so
-        # any JSON key order decodes to the same canonical Event.
-        restored = Event.from_dict(
-            {"time_s": 1.0, "kind": "x", "detail": {"b": 2, "a": 1}}
-        )
-        assert restored.detail == (("a", 1), ("b", 2))
-
-    def test_to_dict_is_json_shaped(self):
-        event = Event(time_s=1.0, kind="phase", detail=(("name", "warmup"),))
-        assert event.to_dict() == {
-            "time_s": 1.0,
-            "kind": "phase",
-            "detail": {"name": "warmup"},
-        }
-
-    def test_round_trip_without_detail(self):
-        event = Event(time_s=0.0, kind="sleep-enter")
-        assert Event.from_dict(event.to_dict()) == event
-
 
 class TestEventLog:
     def test_log_and_iterate(self):
@@ -51,35 +25,11 @@ class TestEventLog:
         assert len(log) == 2
         assert [e.kind for e in log] == ["phase", "phase"]
 
-    def test_of_kind(self):
-        log = EventLog()
-        log.log(0.0, "phase", name="warmup")
-        log.log(10.0, "throttle-step", steps=1)
-        log.log(12.0, "throttle-step", steps=2)
-        assert len(log.of_kind("throttle-step")) == 2
-
     def test_count(self):
         log = EventLog()
         log.log(0.0, "core-offline", online=3)
         assert log.count("core-offline") == 1
         assert log.count("core-online") == 0
-
-    def test_first(self):
-        log = EventLog()
-        log.log(5.0, "throttle-step", steps=1)
-        log.log(9.0, "throttle-step", steps=2)
-        assert log.first("throttle-step").time_s == 5.0
-
-    def test_first_missing_raises(self):
-        with pytest.raises(IndexError):
-            EventLog().first("nope")
-
-    def test_kinds_histogram(self):
-        log = EventLog()
-        log.log(0.0, "a")
-        log.log(1.0, "a")
-        log.log(2.0, "b")
-        assert log.kinds() == {"a": 2, "b": 1}
 
     def test_detail_round_trip(self):
         log = EventLog()

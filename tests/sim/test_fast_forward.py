@@ -115,7 +115,7 @@ class TestFidelity:
         for solver in ("euler", "expm"):
             world = make_world(solver)
             run_cooldown(world)
-            energy[solver] = world.device.supply.energy_j
+            energy[solver] = world.device.supply.energy_drawn_j
         divergence = COOLDOWN_SPEC.compare_scalar(
             "energy_j", energy["euler"], energy["expm"], context="cooldown"
         )

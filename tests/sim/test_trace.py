@@ -149,44 +149,17 @@ class TestPhases:
 
 
 class TestSummaries:
-    def test_mean_min_max(self, trace):
-        assert trace.mean("temp") == pytest.approx(34.5)
-        assert trace.min("temp") == 30.0
+    def test_max(self, trace):
         assert trace.max("temp") == 39.0
 
     def test_empty_trace_summaries_raise(self):
         t = Trace(["temp"])
         with pytest.raises(AnalysisError):
-            t.mean("temp")
+            t.max("temp")
 
     def test_window(self, trace):
         values = trace.window(2.0, 5.0, "temp")
         assert list(values) == [32.0, 33.0, 34.0]
-
-    def test_time_above(self, trace):
-        # Samples at 1 s spacing; temps 30..39, threshold 35 -> 5 samples.
-        assert trace.time_above("temp", 35.0) == pytest.approx(5.0)
-
-    def test_time_above_non_uniform_spacing(self):
-        # Each sample owns the interval to its successor (the last reuses
-        # the preceding spacing): 5 + 1 + 1 = 7 s hot, not 3 samples
-        # times the first interval's width.
-        t = Trace(["temp"])
-        for time_s, temp in [(0.0, 40.0), (5.0, 40.0), (6.0, 40.0), (7.0, 10.0)]:
-            t.record(time_s, temp=temp)
-        assert t.time_above("temp", 35.0) == pytest.approx(7.0)
-
-    def test_time_above_gap_not_attributed_to_late_sample(self):
-        # A long quiet gap before a hot sample must not be counted as hot.
-        t = Trace(["temp"])
-        for time_s, temp in [(0.0, 10.0), (100.0, 10.0), (101.0, 40.0), (102.0, 10.0)]:
-            t.record(time_s, temp=temp)
-        assert t.time_above("temp", 35.0) == pytest.approx(1.0)
-
-    def test_histogram(self, trace):
-        counts, edges = trace.histogram("temp", bins=5)
-        assert counts.sum() == 10
-        assert len(edges) == 6
 
 
 class TestTransportSurface:

@@ -31,12 +31,3 @@ class TestCoreState:
     def test_constructor_validates_utilization(self):
         with pytest.raises(ConfigurationError):
             CoreState(index=0, utilization=2.0)
-
-    def test_offline_core_has_zero_active_utilization(self):
-        core = CoreState(index=1, utilization=1.0)
-        core.online = False
-        assert core.active_utilization == 0.0
-
-    def test_online_core_active_utilization(self):
-        core = CoreState(index=1, utilization=0.8)
-        assert core.active_utilization == 0.8

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.rng import DEFAULT_ROOT_SEED, derive_seed, derive_stream
+from repro.rng import derive_stream
 
 
 class TestDeriveStream:
@@ -45,15 +45,3 @@ class TestDeriveStream:
         a.random(1000)
         # Consuming one stream must not disturb the other.
         assert derive_stream(0, "y").random() == b.random()
-
-
-class TestDeriveSeed:
-    def test_stable(self):
-        assert derive_seed(9, "a") == derive_seed(9, "a")
-
-    def test_distinct(self):
-        assert derive_seed(9, "a") != derive_seed(9, "b")
-
-    def test_in_range(self):
-        seed = derive_seed(DEFAULT_ROOT_SEED, "anything")
-        assert 0 <= seed < 2**63

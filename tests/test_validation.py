@@ -8,7 +8,6 @@ from repro.validation import (
     CheckResult,
     all_passed,
     render_report,
-    validate_model,
     validate_study,
 )
 
@@ -58,10 +57,10 @@ class TestValidateModel:
 
     def test_unknown_model_rejected(self, mid_runner):
         with pytest.raises(ConfigurationError):
-            validate_model(mid_runner, "OnePlus 3T")
+            validate_study(mid_runner, models=["OnePlus 3T"])
 
     def test_nexus5_validates(self, mid_runner):
-        checks = validate_model(mid_runner, "Nexus 5")
+        checks = validate_study(mid_runner, models=["Nexus 5"])
         assert len(checks) == 4
         by_name = {c.name: c for c in checks}
         assert by_name["Nexus 5 performance variation"].passed

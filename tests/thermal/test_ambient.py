@@ -1,15 +1,6 @@
 """Ambient-temperature profiles."""
 
-import pytest
-
-from repro.errors import ConfigurationError
-from repro.thermal.ambient import (
-    ConstantAmbient,
-    DiurnalAmbient,
-    RampAmbient,
-    StepAmbient,
-    sweep,
-)
+from repro.thermal.ambient import ConstantAmbient
 
 
 class TestConstant:
@@ -17,67 +8,3 @@ class TestConstant:
         profile = ConstantAmbient(26.0)
         assert profile.temperature(0.0) == 26.0
         assert profile.temperature(1e6) == 26.0
-
-
-class TestStep:
-    def test_before_and_after(self):
-        profile = StepAmbient(before_c=20.0, after_c=35.0, step_at_s=100.0)
-        assert profile.temperature(99.9) == 20.0
-        assert profile.temperature(100.0) == 35.0
-
-
-class TestRamp:
-    def test_endpoints(self):
-        profile = RampAmbient(start_c=20.0, end_c=40.0, duration_s=100.0)
-        assert profile.temperature(0.0) == 20.0
-        assert profile.temperature(100.0) == 40.0
-
-    def test_midpoint(self):
-        profile = RampAmbient(start_c=20.0, end_c=40.0, duration_s=100.0)
-        assert profile.temperature(50.0) == pytest.approx(30.0)
-
-    def test_clamps_outside_duration(self):
-        profile = RampAmbient(start_c=20.0, end_c=40.0, duration_s=100.0)
-        assert profile.temperature(-5.0) == 20.0
-        assert profile.temperature(500.0) == 40.0
-
-    def test_zero_duration_rejected(self):
-        with pytest.raises(ConfigurationError):
-            RampAmbient(start_c=20.0, end_c=40.0, duration_s=0.0)
-
-
-class TestDiurnal:
-    def test_mean_at_phase_zero(self):
-        profile = DiurnalAmbient(mean_c=25.0, amplitude_c=5.0)
-        assert profile.temperature(0.0) == pytest.approx(25.0)
-
-    def test_peak_quarter_period(self):
-        profile = DiurnalAmbient(mean_c=25.0, amplitude_c=5.0, period_s=100.0)
-        assert profile.temperature(25.0) == pytest.approx(30.0)
-
-    def test_bounded_by_amplitude(self):
-        profile = DiurnalAmbient(mean_c=25.0, amplitude_c=5.0, period_s=86400.0)
-        for t in range(0, 86400, 3600):
-            assert 20.0 <= profile.temperature(float(t)) <= 30.0
-
-    def test_negative_amplitude_rejected(self):
-        with pytest.raises(ConfigurationError):
-            DiurnalAmbient(mean_c=25.0, amplitude_c=-1.0)
-
-    def test_zero_period_rejected(self):
-        with pytest.raises(ConfigurationError):
-            DiurnalAmbient(mean_c=25.0, amplitude_c=1.0, period_s=0.0)
-
-
-class TestSweep:
-    def test_evenly_spaced(self):
-        profiles = sweep(10.0, 40.0, 4)
-        assert [p.temp_c for p in profiles] == [10.0, 20.0, 30.0, 40.0]
-
-    def test_descending_allowed(self):
-        profiles = sweep(40.0, 10.0, 3)
-        assert [p.temp_c for p in profiles] == [40.0, 25.0, 10.0]
-
-    def test_needs_two_points(self):
-        with pytest.raises(ConfigurationError):
-            sweep(10.0, 40.0, 1)

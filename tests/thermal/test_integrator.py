@@ -9,11 +9,11 @@ from repro.thermal.integrator import PLAN_CACHE_SIZE, SAFETY_FACTOR, StableEuler
 
 class TestStableStep:
     def test_max_step_from_rate(self):
-        integrator = StableEuler(max_rate=2.0)
-        assert integrator.max_stable_step == pytest.approx(SAFETY_FACTOR * 1.0)
+        # The stable step is SAFETY_FACTOR * 2 / max_rate = 0.25 s.
+        assert StableEuler(max_rate=2.0).plan(1.0) == (4, SAFETY_FACTOR * 1.0)
 
     def test_zero_rate_means_unbounded_step(self):
-        assert StableEuler(max_rate=0.0).max_stable_step == float("inf")
+        assert StableEuler(max_rate=0.0).plan(1e6) == (1, 1e6)
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ConfigurationError):

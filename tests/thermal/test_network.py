@@ -2,11 +2,21 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.thermal.network import ThermalLink, ThermalNetwork, ThermalNode
+
+
+def power_vector(net, watts=None):
+    """A :meth:`ThermalNetwork.step_vector` input: ``watts`` by node name."""
+    power = np.zeros(len(net.node_names))
+    names = list(watts or {})
+    for index, name in zip(net.injection_indices(names), names):
+        power[index] = watts[name]
+    return power
 
 
 def two_node_network(initial=25.0, r=2.0, c=10.0) -> ThermalNetwork:
@@ -76,42 +86,47 @@ class TestDynamics:
     def test_relaxes_to_ambient(self):
         net = two_node_network(initial=25.0)
         net.set_temperature("die", 80.0)
+        idle = power_vector(net)
         for _ in range(10000):
-            net.step({}, 0.1)
+            net.step_vector(idle, 0.1)
         assert net.temperature("die") == pytest.approx(25.0, abs=0.01)
 
     def test_heats_toward_dc_solution(self):
         net = two_node_network(r=2.0, c=10.0)
+        power = power_vector(net, {"die": 5.0})
         for _ in range(5000):
-            net.step({"die": 5.0}, 0.1)
+            net.step_vector(power, 0.1)
         # DC: rise = P * R = 10 C above ambient.
         assert net.temperature("die") == pytest.approx(35.0, abs=0.05)
 
     def test_boundary_holds_temperature(self):
         net = two_node_network()
+        power = power_vector(net, {"die": 10.0})
         for _ in range(100):
-            net.step({"die": 10.0}, 0.1)
+            net.step_vector(power, 0.1)
         assert net.temperature("ambient") == 25.0
 
     def test_power_into_boundary_rejected(self):
         net = two_node_network()
         with pytest.raises(SimulationError):
-            net.step({"ambient": 1.0}, 0.1)
+            net.injection_indices(["ambient"])
 
     def test_non_positive_dt_rejected(self):
+        net = two_node_network()
         with pytest.raises(SimulationError):
-            two_node_network().step({}, 0.0)
+            net.step_vector(power_vector(net), 0.0)
 
     def test_unknown_power_target_rejected(self):
         with pytest.raises(ConfigurationError):
-            two_node_network().step({"gpu": 1.0}, 0.1)
+            two_node_network().injection_indices(["gpu"])
 
     def test_stability_with_large_step(self):
         # dt far above the node time constant must not blow up thanks to
         # automatic sub-stepping.
         net = two_node_network(r=0.5, c=0.2)  # tau = 0.1 s
+        power = power_vector(net, {"die": 3.0})
         for _ in range(100):
-            net.step({"die": 3.0}, 1.0)
+            net.step_vector(power, 1.0)
         assert net.temperature("die") == pytest.approx(25.0 + 1.5, abs=0.05)
 
     @settings(max_examples=25, deadline=None)
@@ -119,8 +134,9 @@ class TestDynamics:
     def test_monotone_heating_from_equilibrium(self, power):
         net = two_node_network()
         previous = net.temperature("die")
+        injected = power_vector(net, {"die": power})
         for _ in range(50):
-            net.step({"die": power}, 0.2)
+            net.step_vector(injected, 0.2)
             current = net.temperature("die")
             assert current >= previous - 1e-9
             previous = current
@@ -138,8 +154,9 @@ class TestDynamics:
             ],
             initial_temp_c=25.0,
         )
+        power = power_vector(net, {"die": 2.0})
         for _ in range(20000):
-            net.step({"die": 2.0}, 0.1)
+            net.step_vector(power, 0.1)
         die, case, amb = (
             net.temperature("die"),
             net.temperature("case"),
@@ -213,11 +230,13 @@ class TestFresh:
             solver=solver,
         )
         copy = template.fresh(31.0)
-        template.step({"a": 9.0}, 0.5)  # the template's state is its own
+        # The template's state is its own.
+        template.step_vector(power_vector(template, {"a": 9.0}), 0.5)
         assert copy.temperatures() == built.temperatures()
+        power = power_vector(built, {"a": 2.0})
         for _ in range(5):
-            copy.step({"a": 2.0}, 0.1)
-            built.step({"a": 2.0}, 0.1)
+            copy.step_vector(power, 0.1)
+            built.step_vector(power, 0.1)
         assert copy.temperatures() == built.temperatures()
         assert copy._conductance is template._conductance
         assert copy._temps is not template._temps
@@ -235,5 +254,5 @@ class TestFresh:
         assert first._capacity is second._capacity
         assert first.temperatures()["cpu"] == 30.0
         assert second.temperatures()["cpu"] == 25.0
-        first.step({"cpu": 3.0}, 0.1)
+        first.step_vector(power_vector(first, {"cpu": 3.0}), 0.1)
         assert second.temperatures()["cpu"] == 25.0

@@ -1,14 +1,9 @@
-"""Skin temperature and comfort."""
+"""Skin temperature and skin-temperature throttling."""
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.thermal.skin import (
-    COMFORT_HOT_C,
-    COMFORT_WARM_C,
-    SkinModel,
-    SkinThrottle,
-)
+from repro.thermal.skin import SkinModel, SkinThrottle
 
 
 class TestSkinModel:
@@ -25,24 +20,9 @@ class TestSkinModel:
         model = SkinModel()
         assert model.surface_temp_c(26.0, 26.0) == 26.0
 
-    def test_metal_feels_hotter_than_plastic(self):
-        plastic = SkinModel(material_feel_factor=1.0)
-        metal = SkinModel(material_feel_factor=1.25)
-        assert metal.perceived_temp_c(50.0, 26.0) > plastic.perceived_temp_c(
-            50.0, 26.0
-        )
-
-    def test_comfort_classification(self):
-        model = SkinModel(contact_resistance=0.0)
-        assert model.comfort_level(35.0, 26.0) == "comfortable"
-        assert model.comfort_level(COMFORT_WARM_C + 1.0, 26.0) == "warm"
-        assert model.comfort_level(COMFORT_HOT_C + 1.0, 26.0) == "hot"
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             SkinModel(contact_resistance=1.0)
-        with pytest.raises(ConfigurationError):
-            SkinModel(material_feel_factor=0.0)
 
 
 class TestSkinThrottle:
