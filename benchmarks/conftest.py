@@ -18,10 +18,8 @@ from typing import Dict, Tuple
 import pytest
 
 from repro.core.config import AccubenchConfig
-from repro.core.experiments import fixed_frequency, unconstrained
 from repro.core.results import ExperimentResult
 from repro.core.runner import CampaignConfig, CampaignRunner
-from repro.device.catalog import DEVICE_NAMES, device_spec
 
 BENCH_ITERATIONS = int(os.environ.get("REPRO_BENCH_ITERATIONS", "3"))
 
@@ -62,9 +60,4 @@ def study(runner) -> Dict[str, Tuple[ExperimentResult, ExperimentResult]]:
     Shared by the summary/per-SoC/efficiency benches so the fleet campaign
     only runs once per session.
     """
-    results = {}
-    for model in DEVICE_NAMES:
-        performance = runner.run_fleet(model, unconstrained())
-        energy = runner.run_fleet(model, fixed_frequency(device_spec(model)))
-        results[model] = (performance, energy)
-    return results
+    return runner.run_study()

@@ -15,11 +15,11 @@ from benchmarks.conftest import bench_accubench_config, bench_campaign
 
 
 def run_monsoon(supply_voltage: float) -> float:
-    runner = CampaignRunner(bench_campaign(use_thermabox=False))
+    runner = CampaignRunner(
+        bench_campaign(use_thermabox=False, monsoon_voltage=supply_voltage)
+    )
     device = build_device(PAPER_FLEETS["LG G5"][2])
-    return runner.run_device(
-        device, unconstrained(), supply_voltage=supply_voltage
-    ).performance
+    return runner.run_device(device, unconstrained()).performance
 
 
 def run_battery() -> float:

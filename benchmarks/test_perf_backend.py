@@ -65,7 +65,6 @@ def _config() -> CampaignConfig:
     accubench = AccubenchConfig(
         thermal_solver="expm",
         iterations=1,
-        batch=True,
         keep_traces=True,
         trace_decimation=1,
     ).scaled(SCALE)

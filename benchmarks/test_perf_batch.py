@@ -6,7 +6,8 @@ N independent per-unit worlds by a wide margin, *without* changing the
 physics.  Two benches:
 
 * end-to-end ``run_fleet`` on a 32-unit synthetic Nexus 5 fleet,
-  interleaved A/B (``batch=True`` vs ``batch=False``), best-of per arm;
+  interleaved A/B (the batched vs the serial engine, each forced through
+  :func:`~repro.check.differential.run_fleet_on_engine`), best-of per arm;
   unit-steps per second come from the ``engine.steps`` counter over the
   measured wall time, so both arms are scored on the same work unit.
   The speedup floor is asserted unless ``REPRO_BENCH_SKIP_RATE_ASSERT``
@@ -44,10 +45,10 @@ import time
 import pytest
 
 from benchmarks.test_perf_campaign import _merge_results
-from repro.check.differential import BATCH_SPEC
+from repro.check.differential import BATCH_SPEC, run_fleet_on_engine
 from repro.core.config import AccubenchConfig
 from repro.core.experiments import unconstrained
-from repro.core.runner import CampaignConfig, CampaignRunner
+from repro.core.runner import CampaignConfig
 from repro.device.fleet import synthetic_fleet
 from repro.obs import MetricsRegistry, use_registry
 
@@ -69,13 +70,6 @@ MIXED_FLEET_SIZES = (8, 32, 128)
 MIXED_SCALE = 0.4
 MIXED_GATE_N = 32
 MIN_MIXED_BATCH_SPEEDUP = 3.0
-
-
-def _config(batch: bool) -> CampaignConfig:
-    accubench = AccubenchConfig(
-        thermal_solver="expm", iterations=1, batch=batch
-    ).scaled(SCALE)
-    return CampaignConfig(accubench=accubench, jobs=1)
 
 
 def _fleet(count: int, model: str = MODEL):
@@ -107,26 +101,25 @@ def _mixed_fleet(count: int):
 
 def _fleet_rate(
     count: int,
-    batch: bool,
+    engine: str,
     scale: float = SCALE,
     mixed: bool = False,
     model: str = MODEL,
 ):
-    """One fleet campaign; returns (unit-steps/sec, ExperimentResult)."""
-    accubench = AccubenchConfig(
-        thermal_solver="expm", iterations=1, batch=batch
-    ).scaled(scale)
-    # Several models never share a batched THERMABOX run (such a fleet
-    # takes the serial path), so the mixed sweep runs chamber-free.
-    runner = CampaignRunner(
-        CampaignConfig(accubench=accubench, use_thermabox=not mixed, jobs=1)
-    )
+    """One fleet campaign on ``engine`` ("serial" or "batched"); returns
+    (unit-steps/sec, ExperimentResult)."""
+    accubench = AccubenchConfig(thermal_solver="expm", iterations=1).scaled(scale)
+    # Several models never share a batched THERMABOX run (the batched
+    # engine refuses such a fleet), so the mixed sweep runs chamber-free.
+    config = CampaignConfig(accubench=accubench, use_thermabox=not mixed, jobs=1)
     registry = MetricsRegistry(enabled=True)
     devices = _mixed_fleet(count) if mixed else _fleet(count, model)
     label = "+".join(MIXED_MODELS) if mixed else model
     start = time.perf_counter()
     with use_registry(registry):
-        result = runner.run_fleet(label, unconstrained(), devices=devices)
+        result = run_fleet_on_engine(
+            engine, config, label, unconstrained(), devices=devices
+        )
     wall = time.perf_counter() - start
     steps = registry.snapshot()["counters"]["engine.steps"]
     return steps / wall, result
@@ -140,7 +133,7 @@ def test_batched_fleet_speedup():
     results = {}
     for _ in range(REPEATS):
         for arm, batch in (("serial", False), ("batched", True)):
-            rate, result = _fleet_rate(FLEET_N, batch)
+            rate, result = _fleet_rate(FLEET_N, arm)
             best[arm] = max(best[arm], rate)
             results[arm] = result
     speedup = best["batched"] / best["serial"]
@@ -185,9 +178,9 @@ def _scaling_sweep(model: str, sizes) -> dict:
     for count in sizes:
         rates = {"serial": [], "batched": []}
         for _ in range(SCALING_REPEATS):
-            for arm, batch in (("serial", False), ("batched", True)):
+            for arm in ("serial", "batched"):
                 rate, _ = _fleet_rate(
-                    count, batch, scale=SCALING_SCALE, model=model
+                    count, arm, scale=SCALING_SCALE, model=model
                 )
                 rates[arm].append(rate)
         serial, serial_iqr = _median_iqr_pct(rates["serial"])
@@ -238,9 +231,9 @@ def test_mixed_fleet_scaling():
     for count in MIXED_FLEET_SIZES:
         best = {"serial": 0.0, "batched": 0.0}
         for _ in range(MIXED_REPEATS):
-            for arm, batch in (("serial", False), ("batched", True)):
+            for arm in ("serial", "batched"):
                 rate, result = _fleet_rate(
-                    count, batch, scale=MIXED_SCALE, mixed=True
+                    count, arm, scale=MIXED_SCALE, mixed=True
                 )
                 best[arm] = max(best[arm], rate)
                 if count == MIXED_GATE_N:

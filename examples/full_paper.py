@@ -23,7 +23,7 @@ from repro.core.reporting import (
     render_table1,
     render_table2,
 )
-from repro.core.study import Study, run_study
+from repro.core.study import Study
 from repro.silicon import nexus5_table
 
 
@@ -40,7 +40,7 @@ def get_study(out_dir: Path, paper_scale: bool) -> Study:
         )
     runner = CampaignRunner(CampaignConfig(accubench=protocol))
     print("Running the full study (5 fleets x 2 workloads)...\n")
-    study = run_study(runner)
+    study = Study(results=runner.run_study())
     study.save(out_dir)
     print(f"(saved to {out_dir})\n")
     return study

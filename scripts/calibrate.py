@@ -24,8 +24,6 @@ from repro import (
     CampaignConfig,
     CampaignRunner,
     device_spec,
-    fixed_frequency,
-    unconstrained,
 )
 from repro.core.analysis import performance_variation
 from repro.device.catalog import DEVICE_NAMES
@@ -48,8 +46,7 @@ def main() -> None:
         target_perf, target_energy = TARGETS[model]
         spec = device_spec(model)
         start = time.time()
-        perf = runner.run_fleet(model, unconstrained())
-        energy = runner.run_fleet(model, fixed_frequency(spec))
+        perf, energy = runner.run_model(model)
         wall = time.time() - start
         fixed_perf_rsd = performance_variation(
             [d.performance for d in energy.devices]

@@ -97,10 +97,10 @@ def roots(work: str) -> List[Tuple[str, List[str]]]:
                                "--utilization", "0.8",
                                "--memory-boundedness", "0.3")),
         ("run-fleet jobs 2", cli("run-fleet", "Nexus 5", *fast, "--solver",
-                                 "expm", "--batch", "--jobs", "2",
+                                 "expm", "--jobs", "2",
                                  "--experiment", "unconstrained")),
         ("run-fleet serve", cli("run-fleet", "Google Pixel", *fast,
-                                "--serve", "0", "--no-batch")),
+                                "--serve", "0")),
         ("table2", cli("table2", *fast)),
         ("table2 expm", cli("table2", *fast, "--solver", "expm", "--jobs", "2")),
         ("estimate-ambient", cli("estimate-ambient", "Nexus 5", "--observe",

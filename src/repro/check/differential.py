@@ -19,7 +19,9 @@ Vocabulary
     without an entry; knows how to diff scalars, result objects and traces.
 :class:`Pairing`
     Two campaign configurations expected to agree within a spec
-    (``euler↔expm``, ``serial↔jobs=N``, ``fast-forward on↔off``).
+    (``euler↔expm``, ``serial↔jobs=N``, ``fast-forward on↔off``), each
+    run on a named engine (``serial↔batched``, see
+    :func:`run_fleet_on_engine` — the one place an engine is forced).
 :class:`DifferentialReport`
     The outcome of one pairing over one or more models — renders either
     "agreed within tolerances" or the first divergence, with counts.
@@ -36,6 +38,8 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.config import AccubenchConfig
+from repro.core.experiments import ExperimentSpec
+from repro.core.parallel import BatchTask, DeviceTask, run_tasks
 from repro.core.results import DeviceResult, ExperimentResult, IterationResult
 from repro.core.runner import CampaignConfig, CampaignRunner
 from repro.core.serialize import iteration_to_dict
@@ -359,6 +363,56 @@ FAST_FORWARD_SPEC = ToleranceSpec(
 )
 
 
+# -- engines ---------------------------------------------------------------
+
+#: The engines a pairing side may name.  ``"auto"`` is the campaign
+#: runner's own choice (the one every production run takes); ``"serial"``
+#: and ``"batched"`` force an engine whatever the fleet's size.
+ENGINES = ("auto", "serial", "batched")
+
+
+def _require_engine(engine: str) -> None:
+    if engine not in ENGINES:
+        raise CheckError(f"unknown engine {engine!r}; choose one of {ENGINES}")
+
+
+def run_fleet_on_engine(
+    engine: str,
+    config: CampaignConfig,
+    model: str,
+    experiment: ExperimentSpec,
+    devices: Optional[Sequence] = None,
+    iterations: Optional[int] = None,
+    jobs: int = 1,
+) -> ExperimentResult:
+    """Run one fleet on a named engine (one of :data:`ENGINES`).
+
+    ``"auto"`` is :meth:`CampaignRunner.run_fleet`.  ``"serial"`` runs
+    one :class:`DeviceTask` per unit and ``"batched"`` one
+    :class:`BatchTask` over the whole fleet, both through
+    :func:`~repro.core.parallel.run_tasks`; the batched engine raises
+    :class:`~repro.errors.ConfigurationError` on an ineligible fleet
+    rather than quietly comparing the serial engine with itself.
+    """
+    _require_engine(engine)
+    runner = CampaignRunner(config)
+    if engine == "auto":
+        return runner.run_fleet(
+            model, experiment, devices=devices, iterations=iterations, jobs=jobs
+        )
+    if iterations is not None:
+        config = _with_protocol(config, iterations=iterations)
+    fleet = runner._build_fleet(model, devices)
+    if engine == "serial":
+        tasks = [DeviceTask(device, experiment, config) for device in fleet]
+    else:
+        tasks = [BatchTask(tuple(fleet), (experiment,) * len(fleet), config)]
+    results = run_tasks(tasks, jobs)
+    return ExperimentResult(
+        model=model, workload=experiment.name, devices=tuple(results)
+    )
+
+
 # -- pairings --------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -376,7 +430,9 @@ class Pairing:
     single descriptive label.  ``compare_traces`` extends the comparison
     from scalar result fields to the raw trace sample buffers — the gate
     the jobs pairings use, since a result transport that corrupted a
-    trace byte could still agree on every derived scalar.
+    trace byte could still agree on every derived scalar.  ``engine_a``
+    and ``engine_b`` name the engine each side runs on (see
+    :data:`ENGINES`).
     """
 
     name: str
@@ -387,12 +443,18 @@ class Pairing:
     spec: ToleranceSpec
     jobs_a: int = 1
     jobs_b: int = 1
+    engine_a: str = "auto"
+    engine_b: str = "auto"
     fleet_factory: Optional[Callable[[CampaignConfig, str], List]] = None
     models: Optional[Tuple[str, ...]] = None
     compare_traces: bool = False
 
     def __post_init__(self) -> None:
-        if self.config_a == self.config_b and self.jobs_a == self.jobs_b:
+        _require_engine(self.engine_a)
+        _require_engine(self.engine_b)
+        if (self.config_a, self.jobs_a, self.engine_a) == (
+            self.config_b, self.jobs_b, self.engine_b
+        ):
             raise CheckError(
                 f"pairing {self.name!r} runs the identical configuration on "
                 "both sides; it can never diverge"
@@ -465,17 +527,16 @@ def batch_pairing(base: CampaignConfig) -> Pairing:
     Both sides run the exact propagator with the sleep fast-forward on —
     the configuration the batched engine requires — so the comparison
     isolates the batching itself."""
+    config = _with_protocol(base, thermal_solver="expm", sleep_fast_forward=True)
     return Pairing(
         name="batch",
         label_a="serial-engine",
         label_b="batched-engine",
-        config_a=_with_protocol(
-            base, thermal_solver="expm", sleep_fast_forward=True, batch=False
-        ),
-        config_b=_with_protocol(
-            base, thermal_solver="expm", sleep_fast_forward=True, batch=True
-        ),
+        config_a=config,
+        config_b=config,
         spec=BATCH_SPEC,
+        engine_a="serial",
+        engine_b="batched",
     )
 
 
@@ -556,14 +617,18 @@ def _batch_scenario_pairing(
     fleet_factory: Optional[Callable[[CampaignConfig, str], List]] = None,
     models: Optional[Tuple[str, ...]] = None,
 ) -> Pairing:
-    common = dict(thermal_solver="expm", sleep_fast_forward=True, **overrides)
+    config = _with_protocol(
+        base, thermal_solver="expm", sleep_fast_forward=True, **overrides
+    )
     return Pairing(
         name=name,
         label_a=f"serial/{scenario}",
         label_b=f"batched/{scenario}",
-        config_a=_with_protocol(base, batch=False, **common),
-        config_b=_with_protocol(base, batch=True, **common),
+        config_a=config,
+        config_b=config,
         spec=BATCH_SPEC,
+        engine_a="serial",
+        engine_b="batched",
         fleet_factory=fleet_factory,
         models=models,
     )
@@ -753,14 +818,18 @@ def run_pairing(
         if pairing.fleet_factory is not None:
             devices_a = pairing.fleet_factory(pairing.config_a, model)
             devices_b = pairing.fleet_factory(pairing.config_b, model)
-        result_a = CampaignRunner(pairing.config_a).run_fleet(
+        result_a = run_fleet_on_engine(
+            pairing.engine_a,
+            pairing.config_a,
             model,
             unconstrained(),
             devices=devices_a,
             iterations=iterations,
             jobs=pairing.jobs_a,
         )
-        result_b = CampaignRunner(pairing.config_b).run_fleet(
+        result_b = run_fleet_on_engine(
+            pairing.engine_b,
+            pairing.config_b,
             model,
             unconstrained(),
             devices=devices_b,

@@ -324,14 +324,6 @@ def _add_protocol_args(parser: argparse.ArgumentParser) -> None:
         "fast-forward)",
     )
     parser.add_argument(
-        "--batch",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="lock-step batched fleet engine (requires --solver expm); "
-        "default: automatic for fleets of 4+ eligible units; "
-        "--no-batch forces the serial per-unit path",
-    )
-    parser.add_argument(
         "--utilization",
         type=float,
         default=None,
@@ -355,8 +347,6 @@ def _runner(args: argparse.Namespace) -> CampaignRunner:
         overrides["iterations"] = args.iterations
     if getattr(args, "solver", None):
         overrides["thermal_solver"] = args.solver
-    if getattr(args, "batch", None) is not None:
-        overrides["batch"] = args.batch
     if getattr(args, "utilization", None) is not None:
         overrides["utilization"] = args.utilization
     if getattr(args, "memory_boundedness", None) is not None:
@@ -443,7 +433,7 @@ def _cmd_run_fleet(args: argparse.Namespace) -> int:
     with scope, _serve_scope(args, registry, bus):
         # Both workloads go out in one dispatch (one pool, one task count).
         if args.experiment == "both":
-            performance, energy = runner.run_model(args.model, spec)
+            performance, energy = runner.run_model(args.model)
         elif args.experiment == "unconstrained":
             performance, energy = runner.run_fleet(args.model, unconstrained()), None
         else:

@@ -67,7 +67,7 @@ from repro.core.protocol import Accubench
 from repro.core.ranking import RankedUnit, place_unit, quality_score, rank_units
 from repro.core.results import DeviceResult, ExperimentResult, IterationResult
 from repro.core.runner import CampaignConfig, CampaignRunner
-from repro.core.study import Study, run_study
+from repro.core.study import Study
 from repro.core.serialize import experiment_from_dict, experiment_to_dict
 
 __all__ = [
@@ -121,7 +121,6 @@ __all__ = [
     "relative_standard_deviation",
     "relative_to_first",
     "run_streaming_crowd_study",
-    "run_study",
     "sd805_regression",
     "silhouette_score",
     "silicon_ranking_quality",

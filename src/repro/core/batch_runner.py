@@ -44,8 +44,8 @@ from repro.soc.perf import iterations_from_ops
 if TYPE_CHECKING:  # circular at runtime, exactly like repro.core.parallel
     from repro.core.runner import CampaignConfig
 
-#: Fleets below this size default to the serial path when batching is on
-#: "auto": the batched step's fixed numpy cost (tens of µs per step) only
+#: Fleets below this size run the serial path even when eligible: the
+#: batched step's fixed numpy cost (tens of µs per step) only
 #: amortizes across units.  At 3 units batched loses for every model; at
 #: 4–5 it breaks even or wins on the Nexus 5 but still loses on RBCPR
 #: SoCs (LG G5), which is why a study merges each model's workload fleets
@@ -101,15 +101,15 @@ def run_batch(
     devices: Sequence[Device],
     experiments: Sequence[ExperimentSpec],
     config: "CampaignConfig",
-    ambient_c: Optional[float] = None,
-    iterations: Optional[int] = None,
-    supply_voltage: Optional[float] = None,
 ) -> List[DeviceResult]:
     """Run a cohort's full iteration batch through a :class:`BatchedWorld`.
 
     Mirrors :meth:`CampaignRunner.run_device` over every unit at once:
     Monsoon per unit, one chamber (columnized) stabilized once, then
-    ``iterations`` back-to-back warmup → cooldown → workload passes.
+    ``accubench.iterations`` back-to-back warmup → cooldown → workload
+    passes.  The fleet must be eligible
+    (:func:`batch_ineligibility_reason`); which fleets the campaign
+    runner batches is its own choice (``CampaignRunner._batches``).
     ``experiments`` holds one workload per unit, so one model's
     UNCONSTRAINED and FIXED-FREQUENCY units can share a cohort.
     Returns per-unit :class:`DeviceResult`\\ s in fleet order.
@@ -124,12 +124,12 @@ def run_batch(
         raise ConfigurationError(f"fleet is not batchable: {reason}")
     runner = CampaignRunner(config)
     bench = config.accubench
-    count = runner._iteration_count(iterations)
+    count = bench.iterations
     units = len(devices)
     for device in devices:
-        runner._connect_monsoon(device, supply_voltage)
+        runner._connect_monsoon(device)
 
-    target = ambient_c if ambient_c is not None else config.ambient_c
+    target = config.ambient_c
     if config.use_thermabox:
         chamber = BatchedThermabox(
             ThermaboxConfig(target_c=target), count=units, initial_temp_c=target

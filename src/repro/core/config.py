@@ -10,7 +10,6 @@ qualitatively identical at shorter durations, just noisier.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 from repro.errors import ConfigurationError
 from repro.units import minutes, require_finite
@@ -57,18 +56,6 @@ class AccubenchConfig:
         :class:`~repro.errors.InvariantViolation` the step the physics
         stops being plausible.  Off by default — an observed run takes
         the engine's per-step path instead of the inlined hot loop.
-    batch:
-        Whether fleet runs use the lock-step batched engine
-        (:mod:`repro.sim.batch`).  ``None`` (the default) batches
-        automatically when a fleet has at least four eligible units;
-        ``True`` batches whenever the fleet is eligible; ``False`` forces
-        the serial per-unit path.  The batched engine covers every
-        catalog scenario — invariant observers, skin throttles,
-        memory-bounded workloads and mixed-model fleets (per-model
-        cohort blocks) included; only the Euler solver, disabled sleep
-        fast-forward and several models sharing a THERMABOX run still
-        require the serial path — see
-        :func:`repro.core.batch_runner.batch_ineligibility_reason`.
     utilization:
         Per-core CPU utilization of the benchmark load, in (0, 1].
     memory_boundedness:
@@ -89,7 +76,6 @@ class AccubenchConfig:
     thermal_solver: str = "euler"
     sleep_fast_forward: bool = True
     check_invariants: bool = False
-    batch: Optional[bool] = None
     utilization: float = 1.0
     memory_boundedness: float = 0.0
 

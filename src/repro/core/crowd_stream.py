@@ -447,6 +447,8 @@ def _config_fingerprint(
         "min_r_squared": min_r_squared,
         "reservoir_capacity": reservoir_capacity,
     }
+    # Older checkpoints hashed the since-deleted ``protocol.batch`` as None.
+    payload["config"]["protocol"]["batch"] = None
     text = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(text.encode()).hexdigest()
 

@@ -90,17 +90,11 @@ class DeviceTask:
         The workload to run.
     config:
         Campaign configuration the worker's runner is built from.
-    ambient_c / iterations / supply_voltage:
-        Per-call overrides, exactly as accepted by
-        :meth:`repro.core.runner.CampaignRunner.run_device`.
     """
 
     device: Device
     experiment: ExperimentSpec
     config: "CampaignConfig"
-    ambient_c: Optional[float] = None
-    iterations: Optional[int] = None
-    supply_voltage: Optional[float] = None
 
     @property
     def result_count(self) -> int:
@@ -119,17 +113,16 @@ class BatchTask:
     pinned to its own workload's clock.  The payload carries one
     :class:`DeviceResult` per unit, in task order; the runner maps them
     back to their fleets.  A single fleet run with several jobs is cut
-    into contiguous shards (snapped to model boundaries on mixed fleets
-    so cohort blocks stay whole), so flattening payloads in submission
-    order reassembles the fleet ordering a serial run would produce.
+    into contiguous shards of at least
+    :data:`~repro.core.batch_runner.MIN_AUTO_BATCH_UNITS` units each
+    (a shard may hold several models; each runs as its own cohort
+    block), so flattening payloads in submission order reassembles the
+    fleet ordering a serial run would produce.
     """
 
     devices: tuple
     experiments: tuple  # of ExperimentSpec, one per unit
     config: "CampaignConfig"
-    ambient_c: Optional[float] = None
-    iterations: Optional[int] = None
-    supply_voltage: Optional[float] = None
 
     @property
     def result_count(self) -> int:
@@ -220,24 +213,8 @@ def _run(task: "Task") -> List[DeviceResult]:
     if isinstance(task, BatchTask):
         from repro.core.batch_runner import run_batch
 
-        return run_batch(
-            list(task.devices),
-            task.experiments,
-            task.config,
-            ambient_c=task.ambient_c,
-            iterations=task.iterations,
-            supply_voltage=task.supply_voltage,
-        )
-    runner = CampaignRunner(task.config)
-    return [
-        runner.run_device(
-            task.device,
-            task.experiment,
-            ambient_c=task.ambient_c,
-            iterations=task.iterations,
-            supply_voltage=task.supply_voltage,
-        )
-    ]
+        return run_batch(list(task.devices), task.experiments, task.config)
+    return [CampaignRunner(task.config).run_device(task.device, task.experiment)]
 
 
 def dispatch(

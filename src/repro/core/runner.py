@@ -11,7 +11,7 @@ target temperature range...").
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.batch_runner import (
@@ -103,6 +103,13 @@ class CampaignConfig:
 class CampaignRunner:
     """Runs experiments over units, fleets and the whole study.
 
+    Which engine runs a fleet follows the fleet alone: an eligible fleet
+    of at least :data:`~repro.core.batch_runner.MIN_AUTO_BATCH_UNITS`
+    units advances in lock-step through the batched engine, every other
+    fleet runs one serial world per unit (:meth:`_batches`).  No option
+    selects the engine; only the oracles in
+    :mod:`repro.check.differential` force one.
+
     ``progress`` (optional) is called with a
     :class:`~repro.obs.progress.TaskProgress` as each unit's iteration
     batch completes — live, in completion order, for any ``jobs`` value.
@@ -128,36 +135,16 @@ class CampaignRunner:
             return spec.battery.max_v
         return spec.battery.nominal_v
 
-    def _iteration_count(self, iterations: Optional[int]) -> int:
-        if iterations is None:
-            iterations = self.config.accubench.iterations
-        if iterations < 1:
-            raise ConfigurationError("iterations must be at least 1")
-        return iterations
+    def _connect_monsoon(self, device: Device) -> None:
+        """Power a unit from its Monsoon at the methodology's voltage."""
+        voltage = self.monsoon_voltage_for(device.spec)
+        device.connect_supply(MonsoonPowerMonitor(voltage))
 
-    def _connect_monsoon(self, device: Device, supply_voltage: Optional[float]) -> None:
-        """Power a unit from its Monsoon (``supply_voltage`` overrides the
-        methodology's choice)."""
-        if supply_voltage is None:
-            supply_voltage = self.monsoon_voltage_for(device.spec)
-        device.connect_supply(MonsoonPowerMonitor(supply_voltage))
-
-    def run_device(
-        self,
-        device: Device,
-        experiment: ExperimentSpec,
-        ambient_c: Optional[float] = None,
-        iterations: Optional[int] = None,
-        supply_voltage: Optional[float] = None,
-    ) -> DeviceResult:
-        """Run one experiment (≥5 iterations) on one unit.
-
-        ``supply_voltage`` overrides the methodology's voltage choice for
-        this unit only — the knob behind the paper's Figure 10 experiment.
-        """
-        count = self._iteration_count(iterations)
-        self._connect_monsoon(device, supply_voltage)
-        room, chamber = self._environment(ambient_c)
+    def run_device(self, device: Device, experiment: ExperimentSpec) -> DeviceResult:
+        """Run one experiment (``accubench.iterations`` passes) on one unit."""
+        count = self.config.accubench.iterations
+        self._connect_monsoon(device)
+        room, chamber = self._environment()
         registry = default_registry()
         cache_before = propagator_cache_counts([device])
         with registry.span(
@@ -188,47 +175,40 @@ class CampaignRunner:
         model: str,
         experiment: ExperimentSpec,
         devices: Optional[Sequence[Device]] = None,
-        ambient_c: Optional[float] = None,
         iterations: Optional[int] = None,
         jobs: Optional[int] = None,
     ) -> ExperimentResult:
         """Run one experiment across a fleet (the paper's units by default).
 
-        ``jobs`` overrides :attr:`CampaignConfig.jobs` for this call; units
-        are independent, so any worker count yields identical results.
+        ``iterations`` and ``jobs`` override :attr:`AccubenchConfig.iterations`
+        and :attr:`CampaignConfig.jobs` for this call; units are
+        independent, so any worker count yields identical results.
         Every path goes through :func:`repro.core.parallel.run_tasks` —
         with one job the tasks run in-process on the caller's device
         objects (the historical serial loop), and either way per-task
         telemetry and progress events are emitted uniformly.
         """
         resolved = self._resolve_jobs(jobs)
-        fleet = self._build_fleet(model, devices, ambient_c)
-        tasks = self._fleet_tasks(
-            fleet, experiment, resolved, ambient_c=ambient_c, iterations=iterations
-        )
+        config = self.config
+        if iterations is not None:
+            config = replace(
+                config, accubench=replace(config.accubench, iterations=iterations)
+            )
+        fleet = self._build_fleet(model, devices)
+        tasks = self._fleet_tasks(fleet, experiment, resolved, config)
         results = tuple(run_tasks(tasks, resolved, progress=self.progress))
         return ExperimentResult(model=model, workload=experiment.name, devices=results)
 
     def run_model(
-        self,
-        model: str,
-        spec: Optional[DeviceSpec] = None,
-        jobs: Optional[int] = None,
+        self, model: str, jobs: Optional[int] = None
     ) -> Tuple[ExperimentResult, ExperimentResult]:
         """Both workloads on one model's paper fleet:
-        (UNCONSTRAINED, FIXED-FREQUENCY).
+        (UNCONSTRAINED, FIXED-FREQUENCY) — a one-model :meth:`run_study`.
 
         The two workloads run on separately built fleets, and all units
         of both go out in one dispatch.
         """
-        from repro.device.catalog import device_spec as lookup
-
-        device = spec if spec is not None else lookup(model)
-        plan = [(model, unconstrained()), (model, fixed_frequency(device))]
-        performance, energy = self._run_experiments(
-            plan, self._resolve_jobs(jobs)
-        )
-        return performance, energy
+        return self.run_study([model], jobs)[model]
 
     def run_study(
         self,
@@ -277,78 +257,60 @@ class CampaignRunner:
         return value if explicit else min(value, cores)
 
     def _build_fleet(
-        self,
-        model: str,
-        devices: Optional[Sequence[Device]],
-        ambient_c: Optional[float],
+        self, model: str, devices: Optional[Sequence[Device]] = None
     ) -> List[Device]:
         if devices is not None:
             return list(devices)
         return paper_fleet(
             model,
             root_seed=self.config.root_seed,
-            initial_temp_c=ambient_c if ambient_c is not None else self.config.ambient_c,
+            initial_temp_c=self.config.ambient_c,
             thermal_solver=self.config.accubench.thermal_solver,
         )
 
     def _batches(self, fleet: Sequence[Device]) -> bool:
-        """Whether one fleet runs batched.
+        """Whether one fleet runs batched: it is eligible and has at least
+        ``MIN_AUTO_BATCH_UNITS`` units.
 
-        The tri-state ``accubench.batch`` knob decides: ``False`` never
-        batches, ``True`` batches any eligible fleet, ``None`` (auto)
-        batches eligible fleets of at least ``MIN_AUTO_BATCH_UNITS`` units.
-        Ineligible fleets silently fall back to the serial per-unit path —
-        batching is a performance choice, never a correctness one.
+        Every other fleet runs the serial per-unit path — the engine is a
+        performance choice, never a correctness one.
         """
-        mode = self.config.accubench.batch
-        if mode is False or batch_ineligibility_reason(self.config, fleet):
-            return False
-        return mode is True or len(fleet) >= MIN_AUTO_BATCH_UNITS
+        return (
+            len(fleet) >= MIN_AUTO_BATCH_UNITS
+            and batch_ineligibility_reason(self.config, fleet) is None
+        )
 
     def _device_tasks(
         self,
         fleet: Sequence[Device],
         experiment: ExperimentSpec,
-        ambient_c: Optional[float] = None,
-        iterations: Optional[int] = None,
+        config: CampaignConfig,
     ) -> List[Task]:
-        return [
-            DeviceTask(
-                device=device,
-                experiment=experiment,
-                config=self.config,
-                ambient_c=ambient_c,
-                iterations=iterations,
-            )
-            for device in fleet
-        ]
+        return [DeviceTask(device, experiment, config) for device in fleet]
 
     def _fleet_tasks(
         self,
         fleet: Sequence[Device],
         experiment: ExperimentSpec,
         jobs: int,
-        ambient_c: Optional[float] = None,
-        iterations: Optional[int] = None,
+        config: CampaignConfig,
     ) -> List[Task]:
         """Shape one fleet into work items: batched shards or per-unit tasks.
 
         Batched fleets are cut into shards by
         :func:`repro.core.batch_runner.shard_bounds` — the single home of
-        the batched task-sizing policy (shard count, minimum units per
-        shard, model-boundary snapping); units are never reordered, so
-        results still come back in fleet order.
+        the batched task-sizing policy (at most ``jobs`` shards, each of
+        at least ``MIN_AUTO_BATCH_UNITS`` units); units are never
+        reordered, so results still come back in fleet order.
         """
         if not self._batches(fleet):
-            return self._device_tasks(fleet, experiment, ambient_c, iterations)
+            return self._device_tasks(fleet, experiment, config)
         bounds = shard_bounds(fleet, jobs)
         return [
             BatchTask(
                 devices=tuple(fleet[start:stop]),
                 experiments=(experiment,) * (stop - start),
-                config=self.config,
-                ambient_c=ambient_c,
-                iterations=iterations,
+                config=config,
             )
             for start, stop in zip(bounds, bounds[1:])
             if stop > start
@@ -370,7 +332,7 @@ class CampaignRunner:
         "Study cohorts").  Per-unit tasks run everything else;
         per-experiment results are reassembled in plan order.
         """
-        fleets = [self._build_fleet(model, None, None) for model, _ in plan]
+        fleets = [self._build_fleet(model) for model, _ in plan]
         cohorts: Dict[str, List[int]] = {}
         for index, ((model, _), fleet) in enumerate(zip(plan, fleets)):
             if self._batches(fleet):
@@ -382,7 +344,9 @@ class CampaignRunner:
             members = cohorts.get(model, ())
             if index not in members:
                 starts[index] = cursor
-                tasks.extend(self._device_tasks(fleets[index], experiment))
+                tasks.extend(
+                    self._device_tasks(fleets[index], experiment, self.config)
+                )
                 cursor += len(fleets[index])
             elif index == members[0]:
                 devices: List[Device] = []
@@ -409,10 +373,8 @@ class CampaignRunner:
             for index, (model, experiment) in enumerate(plan)
         ]
 
-    def _environment(
-        self, ambient_c: Optional[float]
-    ) -> Tuple[AmbientProfile, Optional[Thermabox]]:
-        target = ambient_c if ambient_c is not None else self.config.ambient_c
+    def _environment(self) -> Tuple[AmbientProfile, Optional[Thermabox]]:
+        target = self.config.ambient_c
         if not self.config.use_thermabox:
             return ConstantAmbient(target), None
         chamber = Thermabox(

@@ -19,14 +19,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 from repro.core.efficiency import EfficiencyPoint, efficiency_point
-from repro.core.experiments import fixed_frequency, unconstrained
 from repro.core.results import ExperimentResult
-from repro.core.runner import CampaignRunner
 from repro.core.serialize import experiment_from_dict, experiment_to_dict
-from repro.device.catalog import DEVICE_NAMES, device_spec
+from repro.device.catalog import device_spec
 from repro.errors import AnalysisError
 from repro.soc.catalog import soc_by_name
 
@@ -150,16 +148,3 @@ class Study:
             results[model] = (performance, energy)
         return cls(results=results)
 
-
-def run_study(
-    runner: CampaignRunner, models: Optional[Sequence[str]] = None
-) -> Study:
-    """Execute the paper's study design and return it as a :class:`Study`."""
-    chosen = list(models) if models else list(DEVICE_NAMES)
-    results = {}
-    for model in chosen:
-        spec = device_spec(model)
-        performance = runner.run_fleet(model, unconstrained())
-        energy = runner.run_fleet(model, fixed_frequency(spec))
-        results[model] = (performance, energy)
-    return Study(results=results)

@@ -13,6 +13,7 @@ from repro.check.differential import (
     ToleranceSpec,
     Tolerance,
     batch_invariants_pairing,
+    batch_pairing,
     batch_memory_bound_pairing,
     batch_skin_throttle_pairing,
     default_differential_config,
@@ -24,6 +25,7 @@ from repro.check.differential import (
     solver_pairing,
 )
 from repro.errors import CheckError
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.sim.trace import Trace
 
 MODEL = "Nexus 5"
@@ -82,8 +84,8 @@ class TestPairings:
         pairing = batch_invariants_pairing(tiny_base())
         assert pairing.config_a.accubench.check_invariants
         assert pairing.config_b.accubench.check_invariants
-        assert not pairing.config_a.accubench.batch
-        assert pairing.config_b.accubench.batch
+        assert (pairing.engine_a, pairing.engine_b) == ("serial", "batched")
+        assert pairing.config_a == pairing.config_b
         assert pairing.spec is BATCH_SPEC
 
     def test_memory_bound_pairing_sets_roofline_knobs(self):
@@ -120,6 +122,30 @@ class TestRunPairing:
     def test_solver_pairing_passes_within_spec(self):
         report = run_pairing(solver_pairing(tiny_base()), [MODEL], iterations=1)
         assert report.passed, report.render()
+
+    def test_batch_pairing_forces_both_engines_on_a_small_fleet(
+        self, monkeypatch
+    ):
+        # The Nexus 6's three units run serial under the runner's own
+        # rule, so only a forced engine makes the batched side batch.
+        from repro.check import differential
+
+        spans = []
+        original = differential.run_fleet_on_engine
+
+        def recorded(*args, **kwargs):
+            registry = MetricsRegistry(enabled=True)
+            with use_registry(registry):
+                result = original(*args, **kwargs)
+            spans.append({span["name"] for span in registry.snapshot()["spans"]})
+            return result
+
+        monkeypatch.setattr(differential, "run_fleet_on_engine", recorded)
+        report = run_pairing(batch_pairing(tiny_base()), ["Nexus 6"], iterations=1)
+        assert report.passed, report.render()
+        serial, batched = spans
+        assert "run_batch" in batched and "run_device" not in batched
+        assert "run_device" in serial and "run_batch" not in serial
 
 
 class TestExperimentDiffs:
@@ -232,4 +258,31 @@ class TestPairingValidation:
                 config_a=base,
                 config_b=base,
                 spec=EXACT_SPEC,
+            )
+
+    def test_pairing_requires_distinct_engines_on_a_shared_config(self):
+        config = batch_pairing(tiny_base()).config_a
+        with pytest.raises(CheckError):
+            Pairing(
+                name="same",
+                label_a="a",
+                label_b="b",
+                config_a=config,
+                config_b=config,
+                spec=BATCH_SPEC,
+                engine_a="batched",
+                engine_b="batched",
+            )
+
+    def test_pairing_rejects_an_unknown_engine(self):
+        base = tiny_base()
+        with pytest.raises(CheckError, match="unknown engine"):
+            Pairing(
+                name="typo",
+                label_a="a",
+                label_b="b",
+                config_a=base,
+                config_b=base,
+                spec=EXACT_SPEC,
+                engine_b="batch",
             )

@@ -25,6 +25,7 @@ from repro.check.differential import (
     batch_skin_throttle_pairing,
     default_differential_config,
     mixed_fleet_pairing,
+    run_fleet_on_engine,
     run_pairing,
 )
 from repro.core.batch_runner import batch_ineligibility_reason
@@ -34,7 +35,7 @@ from repro.core.runner import CampaignRunner
 from repro.core.serialize import device_to_dict
 from repro.device.catalog import DEVICE_NAMES, device_spec
 from repro.device.fleet import PAPER_FLEETS, build_device, paper_fleet
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.instruments.thermabox import BatchedThermabox
 from repro.sim.batch import BatchedWorld
 from repro.thermal.skin import SkinThrottleSpec
@@ -109,29 +110,38 @@ class TestEligibilityMatrix:
 class TestMixedFleetInThermabox:
     """Several models sharing one THERMABOX run take the serial path."""
 
-    def config(self, batch):
-        return replace(base_config(batch=batch), use_thermabox=True)
+    def config(self):
+        return replace(base_config(), use_thermabox=True)
 
     def mixed(self):
         return expm_fleet(MODEL)[:2] + expm_fleet("Nexus 6")[:2]
 
     def test_reason_names_the_case(self):
-        reason = batch_ineligibility_reason(self.config(True), self.mixed())
+        reason = batch_ineligibility_reason(self.config(), self.mixed())
         assert reason == "mixed-model fleet in a THERMABOX"
 
     def test_forced_batching_returns_the_serial_results(self):
-        forced = CampaignRunner(self.config(True))
-        tasks = forced._fleet_tasks(self.mixed(), unconstrained(), 1)
+        # Four units would batch if eligible; the runner builds per-unit
+        # tasks instead and returns the serial engine's results exactly,
+        # while forcing the batched engine refuses the fleet.
+        runner = CampaignRunner(self.config())
+        tasks = runner._fleet_tasks(self.mixed(), unconstrained(), 1, runner.config)
         assert all(isinstance(task, DeviceTask) for task in tasks)
         results = [
-            CampaignRunner(self.config(batch)).run_fleet(
-                "mixed", unconstrained(), devices=self.mixed(), iterations=1
+            run_fleet_on_engine(
+                engine, self.config(), "mixed", unconstrained(),
+                devices=self.mixed(), iterations=1,
             )
-            for batch in (True, False)
+            for engine in ("auto", "serial")
         ]
         assert [device_to_dict(d) for d in results[0].devices] == [
             device_to_dict(d) for d in results[1].devices
         ]
+        with pytest.raises(ConfigurationError, match="not batchable"):
+            run_fleet_on_engine(
+                "batched", self.config(), "mixed", unconstrained(),
+                devices=self.mixed(), iterations=1,
+            )
 
     def test_batched_world_rejects_a_shared_chamber(self):
         units = self.mixed()

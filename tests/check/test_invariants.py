@@ -265,35 +265,36 @@ class TestProtocolIntegration:
         from repro.core.runner import CampaignConfig, CampaignRunner
 
         config = CampaignConfig(
-            accubench=replace(fast_config, check_invariants=True),
+            accubench=replace(fast_config, check_invariants=True, iterations=1),
             use_thermabox=False,
         )
-        result = CampaignRunner(config).run_device(
-            scenario_device(), unconstrained(), iterations=1
-        )
+        result = CampaignRunner(config).run_device(scenario_device(), unconstrained())
         assert result.iterations[0].energy_j > 0.0
 
-    @pytest.mark.parametrize("batch", [False, True])
-    def test_invariants_with_fast_forward_at_tiny_scale(self, batch):
+    @pytest.mark.parametrize("engine", ["serial", "batched"])
+    def test_invariants_with_fast_forward_at_tiny_scale(self, engine):
         # Regression: at scales where a cooldown fast-forward window ends
         # exactly on a decimated step's clock reading, the engine used to
         # record two trace samples with the same stamp, tripping the
         # trace-time-monotone checker.  Same-stamp re-records now
         # overwrite (Trace.append), on both engines.
+        from repro.check.differential import run_fleet_on_engine
         from repro.core.config import AccubenchConfig
         from repro.core.experiments import unconstrained
-        from repro.core.runner import CampaignConfig, CampaignRunner
+        from repro.core.runner import CampaignConfig
         from repro.device.fleet import synthetic_fleet
 
         accubench = AccubenchConfig(
-            thermal_solver="expm",
-            sleep_fast_forward=True,
-            check_invariants=True,
-            batch=batch,
+            thermal_solver="expm", sleep_fast_forward=True, check_invariants=True
         ).scaled(0.05)
-        runner = CampaignRunner(CampaignConfig(accubench=accubench, jobs=1))
         devices = synthetic_fleet(
             "Nexus 5", 4, thermal_solver="expm", initial_temp_c=26.0
         )
-        result = runner.run_fleet("Nexus 5", unconstrained(), devices=devices)
+        result = run_fleet_on_engine(
+            engine,
+            CampaignConfig(accubench=accubench),
+            "Nexus 5",
+            unconstrained(),
+            devices=devices,
+        )
         assert len(result.devices) == 4

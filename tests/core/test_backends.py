@@ -54,13 +54,9 @@ def traced_config() -> CampaignConfig:
 
 def fleet_tasks(count: int = 4, root_seed: int = 11):
     config = traced_config()
+    config = replace(config, accubench=replace(config.accubench, iterations=1))
     return [
-        DeviceTask(
-            device=device,
-            experiment=unconstrained(),
-            config=config,
-            iterations=1,
-        )
+        DeviceTask(device=device, experiment=unconstrained(), config=config)
         for device in synthetic_fleet(MODEL, count=count, root_seed=root_seed)
     ]
 

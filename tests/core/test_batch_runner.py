@@ -1,9 +1,9 @@
 """Batched fleet execution: eligibility, fallback, sharding, parity.
 
-The batching knob is a performance choice, never a correctness one: any
-fleet the batched engine cannot model must silently take the serial
-per-unit path, and a batched fleet must return the same results (within
-``BATCH_SPEC``) in the same order the serial runner would.
+The engine is a performance choice, never a correctness one: any fleet
+the batched engine cannot model, or too small to pay for it, takes the
+serial per-unit path, and a batched fleet must return the same results
+(within ``BATCH_SPEC``) in the same order the serial engine would.
 """
 
 import json
@@ -20,6 +20,7 @@ from repro.core.batch_runner import (
     run_batch,
     shard_bounds,
 )
+from repro.check.differential import BATCH_SPEC, run_fleet_on_engine
 from repro.core.config import AccubenchConfig
 from repro.core.experiments import (
     FIXED_FREQUENCY,
@@ -86,48 +87,28 @@ class TestEligibility:
 
 
 class TestTaskShaping:
-    def runner(self, batch=None, jobs=1):
-        return CampaignRunner(
-            CampaignConfig(accubench=bench(batch=batch), jobs=jobs)
+    def tasks(self, units, jobs=1, **overrides):
+        runner = CampaignRunner(
+            CampaignConfig(accubench=bench(**overrides), jobs=jobs)
         )
+        return runner._fleet_tasks(units, unconstrained(), jobs, runner.config)
 
     def test_auto_mode_batches_at_threshold(self):
-        runner = self.runner(batch=None)
-        tasks = runner._fleet_tasks(
-            fleet(MIN_AUTO_BATCH_UNITS), unconstrained(), 1
-        )
+        tasks = self.tasks(fleet(MIN_AUTO_BATCH_UNITS))
         assert len(tasks) == 1 and isinstance(tasks[0], BatchTask)
 
     def test_auto_mode_stays_serial_below_threshold(self):
-        runner = self.runner(batch=None)
-        tasks = runner._fleet_tasks(
-            fleet(MIN_AUTO_BATCH_UNITS - 1), unconstrained(), 1
-        )
-        assert all(isinstance(task, DeviceTask) for task in tasks)
-
-    def test_forced_on_batches_small_fleets(self):
-        runner = self.runner(batch=True)
-        tasks = runner._fleet_tasks(fleet(2), unconstrained(), 1)
-        assert len(tasks) == 1 and isinstance(tasks[0], BatchTask)
-
-    def test_forced_off_never_batches(self):
-        runner = self.runner(batch=False)
-        tasks = runner._fleet_tasks(fleet(12), unconstrained(), 4)
+        tasks = self.tasks(fleet(MIN_AUTO_BATCH_UNITS - 1))
         assert all(isinstance(task, DeviceTask) for task in tasks)
 
     def test_ineligible_fleet_falls_back_even_when_forced_on(self):
-        runner = CampaignRunner(
-            CampaignConfig(accubench=bench(thermal_solver="euler", batch=True))
-        )
-        tasks = runner._fleet_tasks(
-            fleet(8, solver="euler"), unconstrained(), 1
-        )
+        # Large enough to batch, but Euler: every unit runs serial.
+        tasks = self.tasks(fleet(8, solver="euler"), thermal_solver="euler")
         assert all(isinstance(task, DeviceTask) for task in tasks)
 
     def test_jobs_shard_contiguously_in_fleet_order(self):
-        runner = self.runner(batch=True, jobs=2)
         units = fleet(10)
-        tasks = runner._fleet_tasks(units, unconstrained(), 2)
+        tasks = self.tasks(units, jobs=2)
         assert [isinstance(task, BatchTask) for task in tasks] == [True, True]
         flattened = [dev for task in tasks for dev in task.devices]
         assert [d.serial for d in flattened] == [d.serial for d in units]
@@ -151,29 +132,29 @@ class TestTaskShaping:
 
 class TestBatchedFleetParity:
     def test_run_fleet_matches_serial_results(self):
-        serial = CampaignRunner(
-            CampaignConfig(accubench=bench(batch=False))
-        ).run_fleet(MODEL, unconstrained(), devices=fleet(4))
-        batched = CampaignRunner(
-            CampaignConfig(accubench=bench(batch=True))
-        ).run_fleet(MODEL, unconstrained(), devices=fleet(4))
+        config = CampaignConfig(accubench=bench())
+        serial, batched = (
+            run_fleet_on_engine(
+                engine, config, MODEL, unconstrained(), devices=fleet(4)
+            )
+            for engine in ("serial", "batched")
+        )
         assert serial.serials == batched.serials
-        from repro.check.differential import BATCH_SPEC
-
         assert BATCH_SPEC.compare_experiment(serial, batched) == []
 
     def test_metrics_schema_matches_serial_keys(self):
         # Both engines run the one phase driver, so the same fleet must
         # publish equal engine tallies and the same phase spans either way.
+        config = CampaignConfig(accubench=bench(iterations=2))
         snapshots = {}
-        for batch in (False, True):
+        for engine in ("serial", "batched"):
             registry = MetricsRegistry(enabled=True)
             with use_registry(registry):
-                CampaignRunner(
-                    CampaignConfig(accubench=bench(batch=batch, iterations=2))
-                ).run_fleet(MODEL, unconstrained(), devices=fleet(4), jobs=1)
-            snapshots[batch] = registry.snapshot()
-        serial, snapshot = snapshots[False], snapshots[True]
+                run_fleet_on_engine(
+                    engine, config, MODEL, unconstrained(), devices=fleet(4)
+                )
+            snapshots[engine] = registry.snapshot()
+        serial, snapshot = snapshots["serial"], snapshots["batched"]
         for key in (
             "engine.steps",
             "engine.fast_forward_steps",
@@ -259,22 +240,20 @@ class TestStudyCohorts:
         assert len(shipped) == len(batches) + len(singles)
 
     def test_merged_cohort_matches_per_workload_cohorts(self):
-        runner = self.runner(batch=True)
+        runner = self.runner()
         merged = runner.run_model(MODEL, jobs=1)
         apart = (
             runner.run_fleet(MODEL, unconstrained(), jobs=1),
             runner.run_fleet(MODEL, fixed_frequency(device_spec(MODEL)), jobs=1),
         )
-        from repro.check.differential import BATCH_SPEC
-
         for joint, alone in zip(merged, apart):
             assert joint.workload == alone.workload
             assert joint.serials == alone.serials
             assert BATCH_SPEC.compare_experiment(alone, joint) == []
 
     def test_merged_cohort_runs_with_invariants_armed(self):
-        armed = self.runner(batch=True, check_invariants=True).run_model(MODEL)
-        plain = self.runner(batch=True).run_model(MODEL)
+        armed = self.runner(check_invariants=True).run_model(MODEL)
+        plain = self.runner().run_model(MODEL)
         assert study_digest({MODEL: armed}) == study_digest({MODEL: plain})
 
     def test_merged_cohort_violation_names_the_workload(self, monkeypatch):
@@ -289,8 +268,8 @@ class TestStudyCohorts:
                 np.arange(np.size(temp_c)) == np.size(temp_c) - 1
             ),
         )
-        runner = self.runner(batch=True, check_invariants=True)
-        serial = runner._build_fleet(MODEL, None, None)[-1].serial
+        runner = self.runner(check_invariants=True)
+        serial = runner._build_fleet(MODEL)[-1].serial
         with pytest.raises(InvariantViolation) as caught:
             runner.run_model(MODEL)
         message = str(caught.value)
@@ -356,15 +335,11 @@ class TestMixedPins:
 
 
 class TestCliPlumbing:
-    def test_batch_flag_round_trips_into_config(self):
-        from repro.cli import build_parser, _runner
+    def test_batch_flags_are_rejected(self):
+        # The engine follows the fleet; no flag selects it.
+        from repro.cli import build_parser
 
         parser = build_parser()
-        for argv, expected in (
-            (["run-fleet", MODEL, "--batch"], True),
-            (["run-fleet", MODEL, "--no-batch"], False),
-            (["run-fleet", MODEL], None),
-        ):
-            args = parser.parse_args(argv)
-            runner = _runner(args)
-            assert runner.config.accubench.batch is expected
+        for flag in ("--batch", "--no-batch"):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["run-fleet", MODEL, flag])

@@ -21,8 +21,10 @@ from repro.errors import ConfigurationError
 MODEL = "Nexus 5"
 
 
-def tiny_config(jobs: int = 1) -> CampaignConfig:
-    return CampaignConfig(accubench=AccubenchConfig().scaled(0.05), jobs=jobs)
+def tiny_config(jobs: int = 1, iterations: int = 5) -> CampaignConfig:
+    return CampaignConfig(
+        accubench=AccubenchConfig(iterations=iterations).scaled(0.05), jobs=jobs
+    )
 
 
 def fleet_digest(result) -> str:
@@ -79,8 +81,7 @@ class TestDeterminism:
                 DeviceTask(
                     device=device,
                     experiment=unconstrained(),
-                    config=tiny_config(),
-                    iterations=1,
+                    config=tiny_config(iterations=1),
                 )
                 for device in fleet
             ]
@@ -173,14 +174,9 @@ class TestPlumbing:
         assert all(device.now_s == 0.0 for device in fleet)
 
     def test_device_task_runs_standalone(self):
-        config = tiny_config()
+        config = tiny_config(iterations=1)
         fleet = synthetic_fleet(MODEL, count=1, root_seed=5)
-        task = DeviceTask(
-            device=fleet[0],
-            experiment=unconstrained(),
-            config=config,
-            iterations=1,
-        )
+        task = DeviceTask(device=fleet[0], experiment=unconstrained(), config=config)
         (result,) = run_tasks([task], jobs=1)
         assert result.model == MODEL
         assert len(result.iterations) == 1

@@ -1,5 +1,7 @@
 """Campaign runner."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.experiments import fixed_frequency, unconstrained
@@ -7,6 +9,14 @@ from repro.core.runner import CampaignConfig, CampaignRunner
 from repro.device.catalog import device_spec
 from repro.device.fleet import PAPER_FLEETS, build_device
 from repro.errors import ConfigurationError
+
+
+def with_protocol(runner, **overrides):
+    """A runner over ``runner``'s config with protocol fields replaced."""
+    config = runner.config
+    return CampaignRunner(
+        replace(config, accubench=replace(config.accubench, **overrides))
+    )
 
 
 class TestMonsoonVoltagePolicy:
@@ -28,18 +38,20 @@ class TestMonsoonVoltagePolicy:
 class TestRunDevice:
     def test_runs_requested_iterations(self, fast_runner):
         device = build_device(PAPER_FLEETS["Nexus 5"][0])
-        result = fast_runner.run_device(device, unconstrained(), iterations=3)
+        runner = with_protocol(fast_runner, iterations=3)
+        result = runner.run_device(device, unconstrained())
         assert len(result.iterations) == 3
         assert result.serial == "bin-0"
 
     def test_zero_iterations_rejected(self, fast_runner):
-        device = build_device(PAPER_FLEETS["Nexus 5"][0])
-        with pytest.raises(ConfigurationError):
-            fast_runner.run_device(device, unconstrained(), iterations=0)
+        # run_device reads the count from the config; the per-call
+        # override lives on run_fleet and is validated there.
+        with pytest.raises(ConfigurationError, match="iterations"):
+            fast_runner.run_fleet("Nexus 5", unconstrained(), iterations=0)
 
     def test_connects_monsoon(self, fast_runner):
         device = build_device(PAPER_FLEETS["Nexus 5"][0])
-        fast_runner.run_device(device, unconstrained(), iterations=1)
+        with_protocol(fast_runner, iterations=1).run_device(device, unconstrained())
         from repro.instruments.monsoon import MonsoonPowerMonitor
 
         assert isinstance(device.supply, MonsoonPowerMonitor)
@@ -81,17 +93,24 @@ class TestRunFleet:
 class TestThermabox:
     def test_chamber_campaign_runs(self, fast_config):
         runner = CampaignRunner(
-            CampaignConfig(accubench=fast_config, use_thermabox=True)
+            CampaignConfig(
+                accubench=replace(fast_config, iterations=1), use_thermabox=True
+            )
         )
         device = build_device(PAPER_FLEETS["Nexus 5"][0])
-        result = runner.run_device(device, unconstrained(), iterations=1)
+        result = runner.run_device(device, unconstrained())
         assert result.performance > 0
 
-    def test_ambient_override_without_chamber(self, fast_runner):
-        device = build_device(PAPER_FLEETS["Nexus 5"][0], initial_temp_c=35.0)
-        result = fast_runner.run_device(
-            device, unconstrained(), ambient_c=35.0, iterations=1
+    def test_ambient_override_without_chamber(self, fast_config):
+        runner = CampaignRunner(
+            CampaignConfig(
+                accubench=replace(fast_config, iterations=1),
+                use_thermabox=False,
+                ambient_c=35.0,
+            )
         )
+        device = build_device(PAPER_FLEETS["Nexus 5"][0], initial_temp_c=35.0)
+        result = runner.run_device(device, unconstrained())
         assert result.performance > 0
 
 

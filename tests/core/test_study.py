@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.core.results import DeviceResult, ExperimentResult, IterationResult
-from repro.core.study import Study, run_study
+from repro.core.study import Study
 from repro.errors import AnalysisError
 
 
@@ -105,11 +105,11 @@ class TestPersistence:
 
 class TestRunStudy:
     def test_runs_requested_models(self, fast_runner):
-        study = run_study(fast_runner, models=["Nexus 6"])
+        study = Study(results=fast_runner.run_study(["Nexus 6"]))
         assert study.models == ("Nexus 6",)
         assert study.performance("Nexus 6").devices[0].performance > 0
 
     def test_round_trips_through_disk(self, fast_runner, tmp_path):
-        study = run_study(fast_runner, models=["Nexus 6"])
+        study = Study(results=fast_runner.run_study(["Nexus 6"]))
         study.save(tmp_path / "s")
         assert Study.load(tmp_path / "s") == study

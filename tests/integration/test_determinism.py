@@ -1,5 +1,7 @@
 """Whole-stack determinism: same seed, same campaign, same numbers."""
 
+from dataclasses import replace
+
 from repro.core.experiments import unconstrained
 from repro.core.runner import CampaignConfig, CampaignRunner
 from repro.device.fleet import build_device, PAPER_FLEETS
@@ -9,11 +11,13 @@ class TestDeterminism:
     def test_identical_campaigns_identical_results(self, fast_config):
         def run():
             config = CampaignConfig(
-                accubench=fast_config, use_thermabox=False, root_seed=99
+                accubench=replace(fast_config, iterations=2),
+                use_thermabox=False,
+                root_seed=99,
             )
             runner = CampaignRunner(config)
             device = build_device(PAPER_FLEETS["Nexus 5"][2], root_seed=99)
-            return runner.run_device(device, unconstrained(), iterations=2)
+            return runner.run_device(device, unconstrained())
 
         first = run()
         second = run()
@@ -27,11 +31,13 @@ class TestDeterminism:
     def test_different_seeds_differ(self, fast_config):
         def run(seed):
             config = CampaignConfig(
-                accubench=fast_config, use_thermabox=False, root_seed=seed
+                accubench=replace(fast_config, iterations=1),
+                use_thermabox=False,
+                root_seed=seed,
             )
             runner = CampaignRunner(config)
             device = build_device(PAPER_FLEETS["Nexus 5"][2], root_seed=seed)
-            return runner.run_device(device, unconstrained(), iterations=1)
+            return runner.run_device(device, unconstrained())
 
         a = run(1)
         b = run(2)

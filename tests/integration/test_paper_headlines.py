@@ -5,6 +5,8 @@ The benchmark suite reruns these at full protocol length; here a reduced
 every headline effect quickly enough for CI.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.config import AccubenchConfig
@@ -70,9 +72,14 @@ class TestNexus5Headlines:
 class TestG5VoltageHeadline:
     def test_nominal_voltage_throttles_about_20_percent(self, runner):
         def run_at(voltage):
+            config = replace(
+                runner.config,
+                accubench=replace(runner.config.accubench, iterations=1),
+                monsoon_voltage=voltage,
+            )
             device = build_device(PAPER_FLEETS["LG G5"][2])
-            return runner.run_device(
-                device, unconstrained(), iterations=1, supply_voltage=voltage
+            return CampaignRunner(config).run_device(
+                device, unconstrained()
             ).performance
 
         slow = run_at(3.85)
